@@ -310,9 +310,20 @@ int main(int argc, char** argv) {
                   "%d of %d)\n", batched.completed, ablation.completed, n);
       pass = false;
     }
-    // The gate: strict throughput win, and never a makespan loss.
-    if (batched.requests_per_hour <= ablation.requests_per_hour) pass = false;
-    if (batched.makespan_s > ablation.makespan_s) pass = false;
+    // The batching gate: strict throughput win, and never a makespan loss.
+    bool batching_wins = true;
+    if (batched.requests_per_hour <= ablation.requests_per_hour) {
+      std::printf("FAIL: batching is not a strict throughput win (%.1f vs "
+                  "%.1f requests per virtual hour)\n",
+                  batched.requests_per_hour, ablation.requests_per_hour);
+      batching_wins = false;
+    }
+    if (batched.makespan_s > ablation.makespan_s) {
+      std::printf("FAIL: batching lengthens the makespan (%.3f s vs %.3f s)\n",
+                  batched.makespan_s, ablation.makespan_s);
+      batching_wins = false;
+    }
+    pass = pass && batching_wins;
     // Observability gates: the event plane must not perturb the
     // virtual-time results, the emitted log must be schema-valid and
     // complete, and its wall-clock cost must stay under 2% (plus 50 ms of
@@ -340,7 +351,8 @@ int main(int argc, char** argv) {
                                      ablation.requests_per_hour
                                : 0.0;
     std::printf("\nbatching %s (%.2fx the ablation's completed requests per "
-                "virtual hour)\n", pass ? "PASSES" : "FAILS", speedup);
+                "virtual hour)\n",
+                batching_wins ? "PASSES" : "FAILS", speedup);
 
     doc.set("requests", n)
         .set("intervals", intervals)

@@ -3,25 +3,27 @@
 #
 #   1. default preset build + complete ctest tier-1 suite
 #   2. address+UB-sanitized preset build (compile-time gate)
-#   3. end-to-end determinism check (identical-seed runs bitwise equal)
-#   4. telemetry artifact smoke (trace/report/metrics export + validation)
-#   5. docs consistency (USER_GUIDE flags vs --help both ways; every guide
+#   3. thread-sanitized runtime tests (simmpi_test, fault_test, coll_test
+#      built with -fsanitize=thread and run; any data-race report fails)
+#   4. end-to-end determinism check (identical-seed runs bitwise equal)
+#   5. telemetry artifact smoke (trace/report/metrics export + validation)
+#   6. docs consistency (USER_GUIDE flags vs --help both ways; every guide
 #      command runs; documented CLI error paths behave as documented)
-#   6. benchmark baseline smoke (every BENCH_*.json validates and detects
+#   7. benchmark baseline smoke (every BENCH_*.json validates and detects
 #      an injected +10% slowdown)
-#   7. collective autotuner smoke (xgyro_colltune's emitted decision table
+#   8. collective autotuner smoke (xgyro_colltune's emitted decision table
 #      round-trips: write -> load -> selector resolves every swept cell to
 #      the measured winner)
-#   8. campaign service smoke (a short arrival stream through xgyro_serve:
+#   9. campaign service smoke (a short arrival stream through xgyro_serve:
 #      admission, batching, placement, and the exit-0 convention — then the
 #      same stream down the production path: perfmodel fast path with a
 #      full DES audit, EASY backfilling, and adaptive windows)
-#   9. service observability smoke (xgyro_serve with the streamed event
+#  10. service observability smoke (xgyro_serve with the streamed event
 #      log, snapshots and an SLO, replayed through xgyro_servemon:
 #      validation, sketch-vs-exact cross-check, trace export, event-log
 #      determinism, and the aborted-run partial-log guarantee)
 #
-# Steps 3–9 are also registered with ctest (check_determinism_script,
+# Steps 4–10 are also registered with ctest (check_determinism_script,
 # trace_export_smoke, docs_consistency_check, bench_baseline_smoke,
 # colltune_smoke, service_smoke, servemon_smoke); they rerun here
 # standalone so a failure prints its own transcript even when ctest is
@@ -31,31 +33,36 @@ cd "$(dirname "$0")"
 
 JOBS=$(nproc 2>/dev/null || echo 4)
 
-echo "=== [1/9] default build + ctest ==="
+echo "=== [1/10] default build + ctest ==="
 cmake --preset default
 cmake --build --preset default -j "$JOBS"
 ctest --preset default
 
-echo "=== [2/9] sanitized build ==="
+echo "=== [2/10] sanitized build ==="
 cmake --preset sanitize
 cmake --build --preset sanitize -j "$JOBS"
 
-echo "=== [3/9] determinism check ==="
+echo "=== [3/10] thread-sanitized runtime tests ==="
+cmake --preset tsan
+cmake --build --preset tsan -j "$JOBS"
+ctest --preset tsan
+
+echo "=== [4/10] determinism check ==="
 bash scripts/check_determinism.sh build
 
-echo "=== [4/9] telemetry trace-export smoke ==="
+echo "=== [5/10] telemetry trace-export smoke ==="
 bash scripts/trace_smoke.sh build
 
-echo "=== [5/9] docs consistency check ==="
+echo "=== [6/10] docs consistency check ==="
 bash scripts/docs_check.sh build
 
-echo "=== [6/9] bench baseline smoke ==="
+echo "=== [7/10] bench baseline smoke ==="
 ./build/examples/xgyro_bench_check --smoke .
 
-echo "=== [7/9] collective autotuner smoke ==="
+echo "=== [8/10] collective autotuner smoke ==="
 ./build/examples/xgyro_colltune --smoke --out build/colltune_smoke.coll_table.json
 
-echo "=== [8/9] campaign service smoke ==="
+echo "=== [9/10] campaign service smoke ==="
 ./build/examples/xgyro_serve --gen "seed=3;n=6;rate=4;tenants=2;sigs=2" \
   --nodes 2 --ranks-per-node 4 --window 0.5
 # The production-stream path: modeled fast path with every job audited
@@ -66,7 +73,7 @@ echo "=== [8/9] campaign service smoke ==="
   --nodes 2 --ranks-per-node 4 --window 0.5 \
   --fast-path --audit-frac 1.0 --backfill --window-auto
 
-echo "=== [9/9] service observability smoke ==="
+echo "=== [10/10] service observability smoke ==="
 bash scripts/servemon_smoke.sh build/examples
 
 echo "ci.sh: all gates passed"

@@ -18,7 +18,7 @@
 #      fail, per its documented 0/1/2 convention, and xgyro_servemon
 #      exits 1 on missing/corrupt logs and bad SLO grammar.
 #
-# Registered with ctest as `docs_consistency_check` and run as gate 5 of
+# Registered with ctest as `docs_consistency_check` and run as gate 6 of
 # ci.sh. Run from the repository root.
 set -euo pipefail
 

@@ -8,7 +8,7 @@
 # validator's schema), check event-log determinism across two identical
 # runs, and require that an aborted run still leaves a schema-valid
 # partial log ending in service.aborted. Registered with ctest as
-# `servemon_smoke` (ci.sh gate 9).
+# `servemon_smoke` (ci.sh gate 10).
 set -euo pipefail
 
 EXAMPLES_DIR=${1:-build/examples}

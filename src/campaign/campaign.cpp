@@ -270,7 +270,6 @@ ElasticJobResult run_job_elastic(const xgyro::EnsembleInput& batch,
     ropts.enable_traffic = opts.enable_traffic;
     ropts.faults = faults;
     ropts.check_invariants = opts.check_invariants;
-    ropts.watchdog_timeout_s = opts.watchdog_timeout_s;
     ropts.coll_selector = opts.coll_selector;
 
     try {
@@ -366,29 +365,14 @@ ElasticJobResult run_job_elastic(const xgyro::EnsembleInput& batch,
       if (writer != nullptr) {
         out.snapshots_committed += writer->snapshots_committed();
       }
-      if (recoveries_left-- <= 0) {
-        const auto& blocked = e.blocked();
-        throw JobAborted(
-            "deadlock", "recovery budget exhausted",
-            blocked.empty() ? -1 : blocked.front().world_rank,
-            blocked.empty() ? 0.0 : blocked.front().virtual_time_s,
-            blocked.empty() ? "" : blocked.front().phase,
-            std::move(out.recoveries), out.snapshots_committed,
-            out.snapshots_rejected);
-      }
-      RecoveryEvent ev;
-      ev.kind = "deadlock";
-      if (!e.blocked().empty()) {
-        ev.world_rank = e.blocked().front().world_rank;
-        ev.virtual_time_s = e.blocked().front().virtual_time_s;
-        ev.phase = e.blocked().front().phase;
-      }
-      ev.nodes_before = ev.nodes_after = out.machine.n_nodes;
-      ev.ranks_per_sim_before = ev.ranks_per_sim_after = out.ranks_per_sim;
-      out.recoveries.push_back(std::move(ev));
-      resume = ckpt_enabled;
-      just_recovered = true;
-      continue;
+      // The DES is deterministic: a retry would replay the same deadlock.
+      const auto& blocked = e.blocked();
+      throw JobAborted("deadlock", "deadlocks are not retried",
+                       blocked.empty() ? -1 : blocked.front().world_rank,
+                       blocked.empty() ? 0.0 : blocked.front().virtual_time_s,
+                       blocked.empty() ? "" : blocked.front().phase,
+                       std::move(out.recoveries), out.snapshots_committed,
+                       out.snapshots_rejected);
     }
 
     if (writer != nullptr) {

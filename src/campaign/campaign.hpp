@@ -96,9 +96,9 @@ struct MemberResult {
 /// One successful recovery of the elastic executor: what failed, where the
 /// run resumed from, and how the allocation/decomposition changed.
 struct RecoveryEvent {
-  std::string kind;             ///< "rank_failure" or "deadlock"
+  std::string kind;             ///< "rank_failure" (deadlocks never recover)
   int job = -1;                 ///< campaign job index (-1 standalone)
-  int world_rank = -1;          ///< failed rank (rank_failure only)
+  int world_rank = -1;          ///< failed rank
   double virtual_time_s = 0.0;  ///< virtual time of the failure
   std::string phase;            ///< solver phase at failure
   std::int64_t resumed_interval = 0;  ///< 0 = restarted from scratch
@@ -157,7 +157,6 @@ struct RecoveryOptions {
   bool resume = false;
   mpi::FaultPlan faults;
   bool check_invariants = true;
-  double watchdog_timeout_s = 60.0;
   bool enable_trace = false;
   bool enable_traffic = false;
   /// Collective decision table for every attempt (nullptr = built-in tuned).
@@ -223,9 +222,11 @@ struct ElasticJobResult {
 /// fired rank's kill clauses are stripped from the fault plan (kills armed
 /// for other ranks stay live and can fire in later attempts), and the job
 /// resumes from the newest valid snapshot (or from scratch without
-/// checkpointing). DeadlockError retries on the same allocation. After
-/// max_recoveries failures — or when the survivors cannot host the job —
-/// a JobAborted carrying the partial accounting is thrown.
+/// checkpointing). After max_recoveries failures — or when the survivors
+/// cannot host the job — a JobAborted carrying the partial accounting is
+/// thrown. A DeadlockError is thrown as JobAborted("deadlock") at once,
+/// without using recovery budget: the DES is deterministic, so a retry on
+/// the same allocation would replay the same deadlock.
 ElasticJobResult run_job_elastic(const xgyro::EnsembleInput& batch,
                                  const net::MachineSpec& machine,
                                  int ranks_per_sim, int n_report_intervals,

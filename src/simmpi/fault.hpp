@@ -70,8 +70,7 @@ struct FaultPlan {
   /// Convenience: arm one more kill clause.
   void add_kill(int rank, double time_s) { kills.push_back({rank, time_s}); }
 
-  /// True if the plan perturbs the message schedule (enables the mailbox
-  /// arrival-order clamp that keeps per-channel FIFO timestamps legal).
+  /// True if the plan perturbs the message schedule (message delays).
   [[nodiscard]] bool perturbs_messages() const {
     return delay_probability > 0.0 && delay_s > 0.0;
   }
@@ -163,9 +162,10 @@ struct BlockedRankInfo {
   std::size_t mailbox_pending = 0;  ///< delivered-but-unmatched messages
 };
 
-/// Raised by the deadlock watchdog when every unfinished rank is blocked in
-/// a receive and no message has been delivered or matched for the full
-/// watchdog timeout: the virtual schedule can never make progress again.
+/// Raised as soon as every unfinished rank is blocked in a receive that no
+/// message matches: with eager sends and no wildcard receives, the virtual
+/// schedule can never make progress again. Detection is exact, with no
+/// timeout.
 /// what() carries the full formatted report; blocked() the structured form.
 class DeadlockError : public Error {
  public:

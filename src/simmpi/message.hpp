@@ -5,14 +5,24 @@
 // A receive blocks the *OS thread* until a matching message exists, then
 // advances the receiver's *virtual clock* to max(local, arrival). Virtual
 // time is therefore independent of real thread scheduling.
+//
+// Deadlock detection: sends never block and there are no wildcard receives,
+// so a rank can only wait in Mailbox::take, and only for one (context, src,
+// tag) key. The run keeps one count of ranks that are neither finished nor
+// blocked in take(). take() decrements it before it waits; deliver()
+// re-increments it, under the receiver's lock, when it hands the blocked
+// owner its match. The take() that brings the count to zero runs the run's
+// stall callback: no rank can ever send again, so a blocked rank is an
+// exact deadlock.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <functional>
 #include <mutex>
-#include <tuple>
+#include <optional>
 #include <vector>
 
 namespace xg::mpi {
@@ -27,17 +37,22 @@ struct Message {
   bool is_virtual = false;
 };
 
+/// The (context, src, tag) key a blocked receive is waiting for.
+struct AwaitedKey {
+  std::uint64_t context = 0;
+  int src_world = -1;
+  int tag = 0;
+};
+
 /// One mailbox per world rank. Matching is (context, src, tag), FIFO within
 /// a channel — the order messages were sent on that channel.
 class Mailbox {
  public:
-  /// Reset per-run state: clears any leftover messages, the abort flag, and
-  /// the per-channel arrival clock. `enforce_arrival_order` turns on the
-  /// FIFO timestamp clamp used under fault injection: a message whose
-  /// injected arrival would precede an earlier message on the same channel
-  /// is clamped to that message's arrival, so delays can never reorder a
-  /// channel beyond what MPI matching rules allow.
-  void begin_run(bool enforce_arrival_order);
+  /// Reset per-run state: clears any leftover messages and the abort flag.
+  /// `runnable` is the run's count of ranks neither finished nor blocked in
+  /// take(); `on_stall` runs, without this mailbox's lock held, when a
+  /// take() here brings that count to zero.
+  void begin_run(std::atomic<int>& runnable, std::function<void()> on_stall);
 
   void deliver(Message msg);
 
@@ -48,6 +63,9 @@ class Mailbox {
   /// Wake all blocked takers with an abort indication.
   void abort();
 
+  /// The key the owner is blocked on, or nullopt if it is not blocked.
+  [[nodiscard]] std::optional<AwaitedKey> awaited() const;
+
   /// Number of undelivered messages (used by shutdown sanity checks).
   [[nodiscard]] size_t pending() const;
 
@@ -56,9 +74,10 @@ class Mailbox {
   std::condition_variable cv_;
   std::deque<Message> queue_;
   bool aborted_ = false;
-  bool enforce_arrival_order_ = false;
-  /// Latest arrival timestamp seen per (context, src, tag) channel.
-  std::map<std::tuple<std::uint64_t, int, int>, double> channel_arrival_;
+  bool blocked_ = false;  ///< owner waits in take() and is counted out
+  AwaitedKey awaited_;
+  std::atomic<int>* runnable_ = nullptr;
+  std::function<void()> on_stall_;
 };
 
 }  // namespace xg::mpi

@@ -1,7 +1,6 @@
 #include "simmpi/runtime.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <map>
 #include <thread>
@@ -119,9 +118,9 @@ double Proc::p2p_isend(int dst_world, std::uint64_t context, int tag,
     m.data.resize(bytes);
     std::memcpy(m.data.data(), data, bytes);
   }
-  // Fault injection: hold the message back on the wire. The receiving
-  // mailbox clamps per-channel arrival order, so a delayed message can
-  // never overtake — or be overtaken by — a later one on the same channel.
+  // Fault injection: hold the message back on the wire. Matching stays
+  // FIFO per channel and p2p_recv takes max(clock, arrival), so a delayed
+  // message never reorders a channel or moves a receive clock backwards.
   if (faults_ != nullptr && faults_->perturbs_messages() &&
       fault_rng_.next_double() < faults_->delay_probability) {
     m.arrival_s += faults_->delay_s;
@@ -129,7 +128,6 @@ double Proc::p2p_isend(int dst_world, std::uint64_t context, int tag,
     fstats_.delay_added_s += faults_->delay_s;
   }
   rt_->mailboxes_[dst_world]->deliver(std::move(m));
-  rt_->progress_.fetch_add(1, std::memory_order_relaxed);
   return complete_at;
 }
 
@@ -145,9 +143,7 @@ void Proc::p2p_recv(int src_world, std::uint64_t context, int tag, void* data,
   XG_ASSERT_MSG(src_world >= 0 && src_world < rt_->nranks_, "recv: bad rank");
   fault_check();
   const double t0 = clock_;
-  rt_->note_blocked(rank_, src_world, context, tag, clock_, phase_);
   Message m = rt_->mailboxes_[rank_]->take(context, src_world, tag);
-  rt_->note_unblocked(rank_);
   if (m.bytes != bytes) {
     throw MpiUsageError(strprintf(
         "recv: payload mismatch on rank %d from %d tag %d: expected %llu "
@@ -244,54 +240,35 @@ Runtime::Runtime(net::MachineSpec spec, int nranks, RuntimeOptions opts)
                strprintf("faults: kill rank %d >= nranks %d", k.rank, nranks_));
   }
   mailboxes_.reserve(nranks_);
-  wait_states_.reserve(nranks_);
   for (int r = 0; r < nranks_; ++r) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
-    wait_states_.push_back(std::make_unique<WaitState>());
   }
 }
 
 Runtime::~Runtime() = default;
 
-void Runtime::note_blocked(int rank, int src_world, std::uint64_t context,
-                           int tag, double vtime_s, const std::string& phase) {
-  WaitState& ws = *wait_states_[rank];
-  {
-    const std::scoped_lock lock(ws.mu);
-    ws.src_world = src_world;
-    ws.tag = tag;
-    ws.context = context;
-    ws.vtime_s = vtime_s;
-    ws.phase = phase;
-  }
-  ws.blocked.store(true, std::memory_order_release);
-}
-
-void Runtime::note_unblocked(int rank) {
-  wait_states_[rank]->blocked.store(false, std::memory_order_release);
-  progress_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Runtime::fire_deadlock_report() {
+void Runtime::check_stall() {
+  if (aborted_.load()) return;  // an error path is already unwinding
   std::vector<BlockedRankInfo> blocked;
   for (int r = 0; r < nranks_; ++r) {
-    WaitState& ws = *wait_states_[r];
-    if (!ws.blocked.load(std::memory_order_acquire)) continue;
-    const std::scoped_lock lock(ws.mu);
+    const auto key = mailboxes_[r]->awaited();
+    if (!key) continue;
+    const Proc& p = (*procs_)[static_cast<size_t>(r)];
     BlockedRankInfo info;
     info.world_rank = r;
-    info.virtual_time_s = ws.vtime_s;
-    info.phase = ws.phase;
-    info.waiting_src_world = ws.src_world;
-    info.waiting_tag = ws.tag;
-    info.waiting_context = ws.context;
+    info.virtual_time_s = p.clock_;
+    info.phase = p.phase_;
+    info.waiting_src_world = key->src_world;
+    info.waiting_tag = key->tag;
+    info.waiting_context = key->context;
     info.mailbox_pending = mailboxes_[r]->pending();
     blocked.push_back(std::move(info));
   }
+  if (blocked.empty()) return;  // every rank finished: a clean end
   std::string msg = strprintf(
-      "simmpi watchdog: virtual schedule is stuck — %zu rank(s) blocked in "
-      "receives with no progress for %.2f s of real time:",
-      blocked.size(), opts_.watchdog_timeout_s);
+      "simmpi deadlock: virtual schedule is stuck — %zu rank(s) blocked in "
+      "receives and no rank left to send:",
+      blocked.size());
   for (const auto& b : blocked) {
     msg += strprintf(
         "\n  rank %d: phase '%s', virtual t=%.9g s, waiting for src=%d tag=%d "
@@ -311,45 +288,16 @@ void Runtime::fire_deadlock_report() {
   for (auto& mb : mailboxes_) mb->abort();
 }
 
-void Runtime::watchdog_loop(const std::atomic<bool>& stop) {
-  using clock = std::chrono::steady_clock;
-  const auto timeout = std::chrono::duration<double>(opts_.watchdog_timeout_s);
-  auto last_change = clock::now();
-  std::uint64_t last_progress = progress_.load(std::memory_order_relaxed);
-  while (!stop.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    if (aborted_.load()) return;  // an error path is already unwinding
-    const int finished = n_finished_.load(std::memory_order_relaxed);
-    int blocked = 0;
-    for (const auto& ws : wait_states_) {
-      if (ws->blocked.load(std::memory_order_acquire)) ++blocked;
-    }
-    const std::uint64_t progress = progress_.load(std::memory_order_relaxed);
-    const bool stuck = finished < nranks_ && finished + blocked == nranks_;
-    if (!stuck || progress != last_progress) {
-      last_change = clock::now();
-      last_progress = progress;
-      continue;
-    }
-    if (clock::now() - last_change >= timeout) {
-      fire_deadlock_report();
-      return;
-    }
-  }
-}
-
 RunResult Runtime::run(const std::function<void(Proc&)>& body) {
   aborted_.store(false);
   first_error_ = nullptr;
   trace_.clear();
   spans_.clear();
-  progress_.store(0);
-  n_finished_.store(0);
+  runnable_.store(nranks_);
   monitor_ = std::make_unique<InvariantMonitor>();
   const bool faults_on = opts_.faults.active();
-  for (int r = 0; r < nranks_; ++r) {
-    mailboxes_[r]->begin_run(faults_on && opts_.faults.perturbs_messages());
-    wait_states_[r]->blocked.store(false);
+  for (auto& mb : mailboxes_) {
+    mb->begin_run(runnable_, [this] { check_stall(); });
   }
 
   std::vector<Proc> procs(static_cast<size_t>(nranks_));
@@ -366,14 +314,7 @@ RunResult Runtime::run(const std::function<void(Proc&)>& body) {
     }
   }
 
-  std::atomic<bool> watchdog_stop{false};
-  std::thread watchdog;
-  if (opts_.watchdog_timeout_s > 0.0) {
-    watchdog = std::thread([this, &watchdog_stop] {
-      watchdog_loop(watchdog_stop);
-    });
-  }
-
+  procs_ = &procs;
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r) {
@@ -388,12 +329,11 @@ RunResult Runtime::run(const std::function<void(Proc&)>& body) {
         aborted_.store(true);
         for (auto& mb : mailboxes_) mb->abort();
       }
-      n_finished_.fetch_add(1, std::memory_order_relaxed);
+      if (runnable_.fetch_sub(1) == 1) check_stall();
     });
   }
   for (auto& t : threads) t.join();
-  watchdog_stop.store(true);
-  if (watchdog.joinable()) watchdog.join();
+  procs_ = nullptr;
   if (first_error_) std::rethrow_exception(first_error_);
   if (opts_.check_invariants) monitor_->final_check();
 

@@ -183,11 +183,6 @@ struct RuntimeOptions {
   /// kind, payload bytes, and bitwise-identical typed results). Cheap; on
   /// by default so every run doubles as a runtime self-test.
   bool check_invariants = true;
-  /// Real-time deadlock watchdog: if every unfinished rank sits blocked in
-  /// a receive with no message delivered or matched for this many wall-clock
-  /// seconds, the run aborts with a structured DeadlockError instead of
-  /// hanging. 0 disables the watchdog.
-  double watchdog_timeout_s = 60.0;
   /// Deterministic fault-injection plan (default: inactive).
   FaultPlan faults;
   /// Collective-algorithm decision table for this run. nullptr = the
@@ -207,8 +202,9 @@ class Runtime {
 
   /// Execute `body` on every rank (one OS thread each); returns per-rank
   /// stats and the trace. Rethrows the first rank exception, if any —
-  /// including RankFailure (fault-plan kill), DeadlockError (watchdog), and
-  /// InvariantViolation (collective disagreement).
+  /// including RankFailure (fault-plan kill), DeadlockError (the last
+  /// runnable rank blocked or exited while another rank still waits in a
+  /// receive), and InvariantViolation (collective disagreement).
   RunResult run(const std::function<void(Proc&)>& body);
 
   [[nodiscard]] int nranks() const { return nranks_; }
@@ -218,22 +214,9 @@ class Runtime {
   friend class Proc;
   friend class Comm;
 
-  /// What a blocked rank is waiting for, published for the watchdog report.
-  struct WaitState {
-    std::atomic<bool> blocked{false};
-    std::mutex mu;  ///< guards the descriptive fields below
-    int src_world = -1;
-    int tag = 0;
-    std::uint64_t context = 0;
-    double vtime_s = 0.0;
-    std::string phase;
-  };
-
-  void note_blocked(int rank, int src_world, std::uint64_t context, int tag,
-                    double vtime_s, const std::string& phase);
-  void note_unblocked(int rank);
-  void watchdog_loop(const std::atomic<bool>& stop);
-  void fire_deadlock_report();
+  /// Runs when the last runnable rank blocks or exits: if any rank still
+  /// waits in a receive and no error is unwinding, raise DeadlockError.
+  void check_stall();
 
   net::MachineSpec spec_;
   net::Placement placement_;
@@ -241,7 +224,6 @@ class Runtime {
   int nranks_ = 0;
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::vector<std::unique_ptr<WaitState>> wait_states_;
   std::unique_ptr<InvariantMonitor> monitor_;
 
   std::mutex trace_mu_;
@@ -252,10 +234,11 @@ class Runtime {
   std::mutex err_mu_;
   std::exception_ptr first_error_;
 
-  /// Deliveries + successful matches; the watchdog fires only when this
-  /// stops moving while every unfinished rank is blocked.
-  std::atomic<std::uint64_t> progress_{0};
-  std::atomic<int> n_finished_{0};
+  /// Ranks neither finished nor blocked in a receive (see message.hpp).
+  std::atomic<int> runnable_{0};
+  /// The running job's ranks; check_stall reads the blocked ones, which are
+  /// quiescent once runnable_ is zero.
+  std::vector<Proc>* procs_ = nullptr;
 };
 
 /// Convenience wrapper: build a Runtime and run one job.

@@ -42,7 +42,7 @@ struct RunReport {
   /// One elastic-recovery event (see campaign::RecoveryEvent, from which
   /// the CLI converts). Serialized under the optional "recovery" object.
   struct RecoveryRecord {
-    std::string kind;             ///< "rank_failure" or "deadlock"
+    std::string kind;             ///< "rank_failure" (deadlocks never recover)
     int world_rank = -1;
     double virtual_time_s = 0.0;
     std::string phase;

@@ -1,7 +1,7 @@
 // Fault-injection + invariant-monitor tests: FaultPlan spec parsing, the
 // differential allreduce check (bit-identical results across algorithms on
 // power-of-two and awkward rank counts), deterministic replay of injected
-// faults, rank-kill → structured RankFailure, the deadlock watchdog, and
+// faults, rank-kill → structured RankFailure, exact deadlock detection, and
 // the per-collective invariant monitor catching deliberately broken
 // collectives that a clean run never trips.
 #include <gtest/gtest.h>
@@ -282,7 +282,6 @@ TEST(Determinism, StragglerChangesTimingsNotPhysics) {
 std::string run_until_killed(const FaultPlan& plan) {
   RuntimeOptions opts;
   opts.faults = plan;
-  opts.watchdog_timeout_s = 30.0;  // must NOT be what terminates the run
   try {
     run_simulation(net::testbox(1, 4), 4, [](Proc& p) {
       auto world = p.world();
@@ -297,6 +296,9 @@ std::string run_until_killed(const FaultPlan& plan) {
     EXPECT_GE(f.virtual_time_s(), 0.5);
     EXPECT_EQ(f.phase(), "work");
     return f.what();
+  } catch (const DeadlockError& d) {
+    ADD_FAILURE() << "rank kill surfaced as a deadlock: " << d.what();
+    return {};
   }
   ADD_FAILURE() << "rank kill did not surface a RankFailure";
   return {};
@@ -311,12 +313,10 @@ TEST(RankKill, SurfacesStructuredFailureInsteadOfDeadlock) {
 }
 
 // ---------------------------------------------------------------------------
-// Deadlock watchdog: a stuck virtual schedule becomes a diagnosable report
-// within bounded real time instead of hanging forever.
+// Exact deadlock detection: a stuck virtual schedule raises a diagnosable
+// report as soon as the last runnable rank blocks or exits, with no timeout.
 
-TEST(Watchdog, ReportsStuckScheduleWithBlockedRankDetail) {
-  RuntimeOptions opts;
-  opts.watchdog_timeout_s = 0.25;
+TEST(Deadlock, ReportsStuckScheduleWithBlockedRankDetail) {
   bool caught = false;
   try {
     run_simulation(net::testbox(1, 2), 2, [](Proc& p) {
@@ -326,7 +326,7 @@ TEST(Watchdog, ReportsStuckScheduleWithBlockedRankDetail) {
         // Nobody ever sends this: rank 0 exits immediately.
         p.world().recv(std::span<int>(&v, 1), /*src=*/0, /*tag=*/9);
       }
-    }, opts);
+    });
   } catch (const DeadlockError& d) {
     caught = true;
     ASSERT_EQ(d.blocked().size(), 1u);
@@ -335,21 +335,141 @@ TEST(Watchdog, ReportsStuckScheduleWithBlockedRankDetail) {
     EXPECT_EQ(b.waiting_src_world, 0);
     EXPECT_EQ(b.waiting_tag, 9);
     EXPECT_EQ(b.phase, "stuck_phase");
+    EXPECT_EQ(b.mailbox_pending, 0u);
     EXPECT_NE(std::string(d.what()).find("stuck"), std::string::npos);
   }
   EXPECT_TRUE(caught);
 }
 
-TEST(Watchdog, QuietOnHealthyRuns) {
-  RuntimeOptions opts;
-  opts.watchdog_timeout_s = 0.25;
+TEST(Deadlock, CyclicWaitReportsEveryRankWithNoneFinished) {
+  bool caught = false;
+  try {
+    run_simulation(net::testbox(1, 2), 2, [](Proc& p) {
+      p.set_phase("cycle");
+      p.advance(0.25 * (p.world_rank() + 1));
+      auto world = p.world();
+      const int peer = 1 - p.world_rank();
+      int v = p.world_rank();
+      // Both ranks receive first: neither ever reaches its send.
+      world.recv(std::span<int>(&v, 1), peer, /*tag=*/3);
+      world.send(std::span<const int>(&v, 1), peer, /*tag=*/3);
+    });
+  } catch (const DeadlockError& d) {
+    caught = true;
+    ASSERT_EQ(d.blocked().size(), 2u);  // no rank finished
+    for (int r = 0; r < 2; ++r) {
+      const auto& b = d.blocked()[static_cast<size_t>(r)];
+      EXPECT_EQ(b.world_rank, r);
+      EXPECT_EQ(b.waiting_src_world, 1 - r);
+      EXPECT_EQ(b.waiting_tag, 3);
+      EXPECT_EQ(b.phase, "cycle");
+      EXPECT_DOUBLE_EQ(b.virtual_time_s, 0.25 * (r + 1));
+      EXPECT_EQ(b.mailbox_pending, 0u);
+    }
+    EXPECT_EQ(d.blocked()[0].waiting_context, d.blocked()[1].waiting_context);
+  }
+  EXPECT_TRUE(caught);
+}
+
+TEST(Deadlock, MismatchedTagLeavesMessagePending) {
+  bool caught = false;
+  try {
+    run_simulation(net::testbox(1, 2), 2, [](Proc& p) {
+      auto world = p.world();
+      int v = 7;
+      if (p.world_rank() == 0) {
+        world.send(std::span<const int>(&v, 1), /*dst=*/1, /*tag=*/4);
+      } else {
+        world.recv(std::span<int>(&v, 1), /*src=*/0, /*tag=*/5);
+      }
+    });
+  } catch (const DeadlockError& d) {
+    caught = true;
+    ASSERT_EQ(d.blocked().size(), 1u);
+    const auto& b = d.blocked().front();
+    EXPECT_EQ(b.world_rank, 1);
+    EXPECT_EQ(b.waiting_tag, 5);
+    EXPECT_EQ(b.mailbox_pending, 1u);  // the tag-4 message never matches
+  }
+  EXPECT_TRUE(caught);
+}
+
+TEST(Deadlock, QuietOnHealthyRuns) {
   // Plenty of real blocking receives, but the schedule always progresses.
   EXPECT_NO_THROW(run_simulation(net::testbox(1, 4), 4, [](Proc& p) {
     for (int i = 0; i < 8; ++i) {
       std::vector<double> v(4, 1.0);
       p.world().allreduce_sum(std::span<double>(v));
     }
-  }, opts));
+  }));
+}
+
+TEST(Deadlock, QuietOnOversubscribedHealthyRun) {
+  // Many more rank threads than cores: ranks block and wake constantly, and
+  // the runnable count touches low values often without reaching zero.
+  constexpr int kRanks = 64;
+  EXPECT_NO_THROW(run_simulation(net::testbox(16, 4), kRanks, [](Proc& p) {
+    auto world = p.world();
+    for (int i = 0; i < 6; ++i) {
+      std::vector<double> v(8, 1.0);
+      world.allreduce_sum(std::span<double>(v));
+      EXPECT_DOUBLE_EQ(v[0], static_cast<double>(kRanks));
+      std::vector<int> out(kRanks, p.world_rank()), in(kRanks, -1);
+      world.alltoall(std::span<const int>(out), std::span<int>(in));
+      for (int r = 0; r < kRanks; ++r) EXPECT_EQ(in[static_cast<size_t>(r)], r);
+    }
+  }));
+}
+
+// ---------------------------------------------------------------------------
+// Message delays keep per-channel order: FIFO matching plus
+// clock = max(clock, arrival) already give every receive a legal,
+// non-decreasing time, even when a delayed message would arrive after a
+// later one on the same channel.
+
+RunResult run_delayed_channel(std::vector<int>* received,
+                              std::vector<double>* recv_times) {
+  constexpr int kMsgs = 96;
+  RuntimeOptions opts;
+  opts.faults = FaultPlan::parse("seed=21;delay=0.5x1e-4");
+  return run_simulation(net::testbox(1, 2), 2, [&](Proc& p) {
+    auto world = p.world();
+    for (int i = 0; i < kMsgs; ++i) {
+      int v = i;
+      if (p.world_rank() == 0) {
+        world.send(std::span<const int>(&v, 1), /*dst=*/1, /*tag=*/0);
+      } else {
+        world.recv(std::span<int>(&v, 1), /*src=*/0, /*tag=*/0);
+        received->push_back(v);
+        recv_times->push_back(p.now());
+      }
+    }
+  }, opts);
+}
+
+TEST(DelayedChannel, KeepsSendOrderAndMonotoneReceiveTimes) {
+  std::vector<int> got_a, got_b;
+  std::vector<double> times_a, times_b;
+  const auto a = run_delayed_channel(&got_a, &times_a);
+  const auto b = run_delayed_channel(&got_b, &times_b);
+  ASSERT_EQ(got_a.size(), 96u);
+  for (size_t i = 0; i < got_a.size(); ++i) {
+    EXPECT_EQ(got_a[i], static_cast<int>(i)) << "payload out of send order";
+  }
+  for (size_t i = 1; i < times_a.size(); ++i) {
+    EXPECT_GE(times_a[i], times_a[i - 1]) << "receive " << i;
+  }
+  // The delay must actually hit: some, but not all, messages are held back.
+  ASSERT_EQ(a.fault_stats.size(), 2u);
+  EXPECT_GT(a.fault_stats[0].delayed_msgs, 0u);
+  EXPECT_LT(a.fault_stats[0].delayed_msgs, 96u);
+  // Same seed ⇒ identical per-rank clocks and receive times.
+  EXPECT_EQ(got_a, got_b);
+  EXPECT_EQ(times_a, times_b);
+  ASSERT_EQ(a.ranks.size(), b.ranks.size());
+  for (size_t r = 0; r < a.ranks.size(); ++r) {
+    EXPECT_EQ(a.ranks[r].final_time_s, b.ranks[r].final_time_s) << "rank " << r;
+  }
 }
 
 // ---------------------------------------------------------------------------
