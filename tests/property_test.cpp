@@ -218,15 +218,20 @@ TEST(Spectrum, IndependentOfToroidalSplit) {
 
 // --- randomized collective sequences vs oracle ------------------------------
 
+// gtest names each case after the raw bytes of its parameter, so SeqCase must
+// have no padding: uninitialised padding bytes would give the same case a
+// different test name on every discovery run. Hence a 64-bit rank count.
 struct SeqCase {
-  int nranks;
+  std::int64_t nranks;
   std::uint64_t seed;
 };
+static_assert(sizeof(SeqCase) == sizeof(std::int64_t) + sizeof(std::uint64_t));
 
 class CollectiveSequence : public ::testing::TestWithParam<SeqCase> {};
 
 TEST_P(CollectiveSequence, RandomSequenceMatchesOracle) {
-  const auto [nranks, seed] = GetParam();
+  const int nranks = static_cast<int>(GetParam().nranks);
+  const std::uint64_t seed = GetParam().seed;
   const int n_ops = 25;
 
   // Pre-generate the op schedule (shared by all ranks and the oracle).
