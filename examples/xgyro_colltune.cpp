@@ -79,12 +79,6 @@ double time_alg(Kind kind, CollAlg alg, int participants,
           case Kind::kAllReduce:
             proc.world().allreduce_virtual(bytes, alg);
             break;
-          case Kind::kReduce:
-            proc.world().reduce_virtual(bytes, 0, alg);
-            break;
-          case Kind::kBcast:
-            proc.world().bcast_virtual(bytes, 0, alg);
-            break;
           case Kind::kAllGather:
             proc.world().allgather_virtual(bytes, alg);
             break;
@@ -113,21 +107,18 @@ int main(int argc, char** argv) {
   try {
     const Options opt = parse_args(argc, argv);
 
-    const std::vector<Kind> kinds = {Kind::kAllReduce, Kind::kReduce,
-                                     Kind::kBcast, Kind::kAllGather,
+    const std::vector<Kind> kinds = {Kind::kAllReduce, Kind::kAllGather,
                                      Kind::kAllToAll};
     std::vector<std::uint64_t> bytes_buckets = {256, 4096, 65536, 1048576};
     std::vector<int> participant_buckets = {2, 8, 64, 256};
-    std::vector<Kind> sweep_kinds = kinds;
     if (opt.smoke) {
-      sweep_kinds = {Kind::kAllReduce, Kind::kAllToAll};
       bytes_buckets = {1024, 65536};
       participant_buckets = {4, 16};
     }
     const int ranks_per_node = net::frontier_like(1).ranks_per_node;
 
     std::vector<Cell> cells;
-    for (const Kind kind : sweep_kinds) {
+    for (const Kind kind : kinds) {
       for (const std::uint64_t bytes : bytes_buckets) {
         for (const int p : participant_buckets) {
           Cell cell;

@@ -65,14 +65,10 @@ double estimate_allreduce_alg(const net::MachineSpec& spec, mpi::CollAlg alg,
       // linear reduce serializes p−1 receives at the root, then binomial
       // bcast fans the result back out.
       return (p - 1) * rc + ceil_log2(p) * rc;
-    case mpi::CollAlg::kBinomial:
-      return 2.0 * ceil_log2(p) * rc;
     case mpi::CollAlg::kRecursiveDoubling:
       return ceil_log2(p) * rc;
     case mpi::CollAlg::kRing:
-    case mpi::CollAlg::kSegmentedRing:
-      // 2(p−1) rounds of bytes/p chunks; segmentation pipelines the same
-      // volume, so to first order it prices like plain ring.
+      // 2(p−1) rounds of bytes/p chunks.
       return 2.0 * (p - 1) *
              round_cost(spec, bytes / static_cast<std::uint64_t>(p), internode,
                         nic_sharers);
@@ -103,29 +99,6 @@ double estimate_allreduce_alg(const net::MachineSpec& spec, mpi::CollAlg alg,
     }
     default:
       throw InputError(strprintf("perfmodel: no allreduce formula for '%s'",
-                                 mpi::coll_alg_name(alg)));
-  }
-}
-
-double estimate_bcast_alg(const net::MachineSpec& spec, mpi::CollAlg alg, int p,
-                          std::uint64_t bytes, bool internode,
-                          int nic_sharers) {
-  const double rc = round_cost(spec, bytes, internode, nic_sharers);
-  switch (alg) {
-    case mpi::CollAlg::kLinear:
-      return (p - 1) * rc;
-    case mpi::CollAlg::kChain:
-      return (p - 1) * rc;
-    case mpi::CollAlg::kBinomial:
-      return ceil_log2(p) * rc;
-    case mpi::CollAlg::kHierarchical: {
-      const HierShape h = hier_shape(spec, p, internode);
-      double t = ceil_log2(h.m) * round_cost(spec, bytes, false);
-      if (h.L > 1) t += ceil_log2(h.L) * round_cost(spec, bytes, true, 1);
-      return t;
-    }
-    default:
-      throw InputError(strprintf("perfmodel: no bcast formula for '%s'",
                                  mpi::coll_alg_name(alg)));
   }
 }
@@ -187,16 +160,6 @@ double estimate_coll(const net::MachineSpec& spec, Kind kind, mpi::CollAlg alg,
     case Kind::kAllReduce:
       return estimate_allreduce_alg(spec, alg, participants, bytes, internode,
                                     nic_sharers);
-    case Kind::kReduce:
-      // Same schedules as the reduce half of allreduce.
-      return alg == mpi::CollAlg::kLinear
-                 ? (participants - 1) *
-                       round_cost(spec, bytes, internode, nic_sharers)
-                 : ceil_log2(participants) *
-                       round_cost(spec, bytes, internode, nic_sharers);
-    case Kind::kBcast:
-      return estimate_bcast_alg(spec, alg, participants, bytes, internode,
-                                nic_sharers);
     case Kind::kAllGather:
       return estimate_allgather_alg(spec, alg, participants, bytes, internode,
                                     nic_sharers);

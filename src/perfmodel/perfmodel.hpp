@@ -1,9 +1,11 @@
 // Closed-form performance estimates and the nl03c-scale campaign planner.
 //
 // The discrete-event simulator (simmpi) is the source of truth; the closed
-// forms here serve two purposes: they cross-check the DES in tests, and they
+// forms here serve three purposes: they cross-check the DES in tests, they
 // let the capacity-planner example answer "how many nodes / what ensemble
-// size" questions instantly, without spinning up rank threads.
+// size" questions instantly, without spinning up rank threads, and they
+// price the campaign service's fast path (ServiceConfig::fast_path), whose
+// sampled DES audit holds them to the simulator.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +27,8 @@ double round_cost(const net::MachineSpec& spec, std::uint64_t bytes,
 
 /// Closed-form cost of one collective instance scheduled with a specific
 /// algorithm. `bytes` follows the selector's decision-key convention
-/// (simmpi/coll.hpp): total buffer bytes for reduce-style collectives,
-/// per-rank block bytes for allgather, per-pair block bytes for alltoall.
+/// (simmpi/coll.hpp): total buffer bytes for allreduce, per-rank block bytes
+/// for allgather, per-pair block bytes for alltoall.
 /// Hierarchical formulas assume consecutive rank→node placement (intra-node
 /// groups of `spec.ranks_per_node`, leaders exchanging at nic_sharers = 1 —
 /// the exclusive-NIC window simmpi grants them). Throws xg::InputError on an
@@ -90,13 +92,6 @@ struct PlanPoint {
   gyro::Decomposition decomp;
   cluster::Feasibility fit;
   PhaseEstimate per_report;
-
-  /// Campaign cost to run `n_sims` simulations: per-report time × number of
-  /// sequential jobs (CGYRO runs members one after another; XGYRO runs the
-  /// whole ensemble at once).
-  [[nodiscard]] double campaign_seconds_per_report() const {
-    return per_report.total() * (n_sims == 1 ? 1.0 : 1.0);
-  }
 
   [[nodiscard]] std::string describe() const;
 };

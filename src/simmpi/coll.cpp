@@ -4,7 +4,7 @@
 // operations over a communicator, so one implementation serves the typed,
 // virtual, and fault-injected paths identically. The *_subset variants run
 // a schedule over an ordered subset of a communicator's local ranks — the
-// building block of the hierarchical (leader-based) schedules, which reduce
+// building block of the hierarchical (leader-based) AllReduce, which reduces
 // within each node first so only one rank per node injects into the fabric.
 #include "simmpi/coll.hpp"
 
@@ -23,11 +23,10 @@ namespace detail {
 
 namespace {
 
-/// MPICH-style latency/bandwidth crossover for AllReduce, also reused by the
-/// hierarchical schedule to pick its inter-node stage.
+/// MPICH-style latency/bandwidth crossover (the legacy selector's AllReduce
+/// cutoff), reused by the hierarchical AllReduce to pick its inter-node
+/// stage.
 constexpr std::uint64_t kRingThresholdBytes = 64 * 1024;
-/// Segment size of the segmented ring (pipelined) AllReduce.
-constexpr std::uint64_t kRingSegmentBytes = 64 * 1024;
 
 /// Largest power of two <= n (n >= 1).
 int pow2_floor(int n) {
@@ -101,56 +100,30 @@ void allreduce_rdb_subset(Comm& c, CollBuf& buf, int tag,
   }
 }
 
-/// Ring reduce-scatter over element range [lo0, lo0+n) of the buffer: after
-/// return, subset member i holds chunk (i+1) mod P fully reduced.
-void ring_reduce_scatter_subset(Comm& c, CollBuf& buf, int tag,
-                                std::span<const int> ranks, int my_idx,
-                                size_t lo0, size_t n) {
+/// Ring allreduce: a ring reduce-scatter (after which subset member i holds
+/// chunk (i+1) mod P fully reduced) followed by a ring allgather. Optimal
+/// bandwidth (2·(P−1)/P · bytes per rank) for large payloads.
+void allreduce_ring_subset(Comm& c, CollBuf& buf, int tag,
+                           std::span<const int> ranks, int my_idx) {
   const int p = static_cast<int>(ranks.size());
+  const size_t n = buf.count();
   const int right = ranks[(my_idx + 1) % p];
   const int left = ranks[(my_idx - 1 + p) % p];
   for (int step = 0; step < p - 1; ++step) {
     const int send_chunk = (my_idx - step + 2 * p) % p;
     const int recv_chunk = (my_idx - step - 1 + 2 * p) % p;
-    buf.send_range(c, right, tag, lo0 + chunk_lo(n, p, send_chunk),
-                   lo0 + chunk_lo(n, p, send_chunk + 1));
-    buf.recv_reduce(c, left, tag, lo0 + chunk_lo(n, p, recv_chunk),
-                    lo0 + chunk_lo(n, p, recv_chunk + 1),
-                    /*partner_lower=*/true);
+    buf.send_range(c, right, tag, chunk_lo(n, p, send_chunk),
+                   chunk_lo(n, p, send_chunk + 1));
+    buf.recv_reduce(c, left, tag, chunk_lo(n, p, recv_chunk),
+                    chunk_lo(n, p, recv_chunk + 1), /*partner_lower=*/true);
   }
-}
-
-/// Ring allreduce (reduce-scatter + ring allgather) over [lo0, lo0+n).
-/// Optimal bandwidth (2·(P−1)/P · bytes per rank) for large payloads.
-void allreduce_ring_subset(Comm& c, CollBuf& buf, int tag,
-                           std::span<const int> ranks, int my_idx, size_t lo0,
-                           size_t n) {
-  const int p = static_cast<int>(ranks.size());
-  const int right = ranks[(my_idx + 1) % p];
-  const int left = ranks[(my_idx - 1 + p) % p];
-  ring_reduce_scatter_subset(c, buf, tag, ranks, my_idx, lo0, n);
-  // Allgather the reduced chunks around the ring.
   for (int step = 0; step < p - 1; ++step) {
     const int send_chunk = (my_idx + 1 - step + 2 * p) % p;
     const int recv_chunk = (my_idx - step + 2 * p) % p;
-    buf.send_range(c, right, tag, lo0 + chunk_lo(n, p, send_chunk),
-                   lo0 + chunk_lo(n, p, send_chunk + 1));
-    buf.recv_replace(c, left, tag, lo0 + chunk_lo(n, p, recv_chunk),
-                     lo0 + chunk_lo(n, p, recv_chunk + 1));
-  }
-}
-
-/// Segmented (pipelined) ring: one full ring allreduce per <= 64 KiB
-/// segment. Early segments' allgather traffic overlaps later segments'
-/// reduce-scatter on the eager p2p layer.
-void allreduce_segmented_ring(Comm& c, CollBuf& buf, int tag,
-                              std::span<const int> ranks, int my_idx) {
-  const size_t n = buf.count();
-  const std::uint64_t eb = buf.elem_bytes() > 0 ? buf.elem_bytes() : 1;
-  const size_t seg = std::max<size_t>(1, kRingSegmentBytes / eb);
-  for (size_t lo = 0; lo < n; lo += seg) {
-    allreduce_ring_subset(c, buf, tag, ranks, my_idx, lo,
-                          std::min(seg, n - lo));
+    buf.send_range(c, right, tag, chunk_lo(n, p, send_chunk),
+                   chunk_lo(n, p, send_chunk + 1));
+    buf.recv_replace(c, left, tag, chunk_lo(n, p, recv_chunk),
+                     chunk_lo(n, p, recv_chunk + 1));
   }
 }
 
@@ -222,88 +195,40 @@ void allreduce_rabenseifner(Comm& c, CollBuf& buf, int tag) {
   }
 }
 
-// --- rooted schedules -------------------------------------------------------
+// --- rooted stages of the linear and hierarchical AllReduce -----------------
+// Both run over an ordered rank subset rooted at its first member.
 
-/// Linear reduce: every non-root sends its full vector to the root, which
-/// folds them in ascending-rank order.
-void reduce_linear(Comm& c, CollBuf& buf, int tag, int root) {
-  const int p = c.size();
+/// Linear reduce: every other member sends its full vector to ranks[0],
+/// which folds them in ascending subset order.
+void reduce_linear(Comm& c, CollBuf& buf, int tag, std::span<const int> ranks,
+                   int my_idx) {
   const size_t n = buf.count();
-  if (c.rank() == root) {
-    for (int r = 0; r < p; ++r) {
-      if (r == root) continue;
-      buf.recv_reduce(c, r, tag, 0, n, /*partner_lower=*/r < root);
+  if (my_idx == 0) {
+    for (size_t i = 1; i < ranks.size(); ++i) {
+      buf.recv_reduce(c, ranks[i], tag, 0, n, /*partner_lower=*/false);
     }
   } else {
-    buf.send_range(c, root, tag, 0, n);
+    buf.send_range(c, ranks[0], tag, 0, n);
   }
 }
 
-/// Binomial-tree reduce, leaves send first.
-void reduce_binomial(Comm& c, CollBuf& buf, int tag, int root) {
-  const int p = c.size();
-  const size_t n = buf.count();
-  const int relative = (c.rank() - root + p) % p;
-  for (int mask = 1; mask < p; mask <<= 1) {
-    if (relative & mask) {
-      const int dst = ((relative & ~mask) + root) % p;
-      buf.send_range(c, dst, tag, 0, n);
-      break;
-    }
-    const int src_rel = relative | mask;
-    if (src_rel < p) {
-      const int src = (src_rel + root) % p;
-      // The subtree rooted at a higher relative rank folds in from the right.
-      buf.recv_reduce(c, src, tag, 0, n, /*partner_lower=*/false);
-    }
-  }
-}
-
-/// Linear bcast: the root sends the full vector to every other rank.
-void bcast_linear(Comm& c, CollBuf& buf, int tag, int root) {
-  const int p = c.size();
-  const size_t n = buf.count();
-  if (c.rank() == root) {
-    for (int r = 0; r < p; ++r) {
-      if (r != root) buf.send_range(c, r, tag, 0, n);
-    }
-  } else {
-    buf.recv_replace(c, root, tag, 0, n);
-  }
-}
-
-/// Chain bcast: root → root+1 → ... around the ring. Latency-poor but each
-/// link carries the bytes exactly once (pipelines well across calls).
-void bcast_chain(Comm& c, CollBuf& buf, int tag, int root) {
-  const int p = c.size();
-  const size_t n = buf.count();
-  const int rel = (c.rank() - root + p) % p;
-  if (rel > 0) buf.recv_replace(c, (root + rel - 1) % p, tag, 0, n);
-  if (rel < p - 1) buf.send_range(c, (root + rel + 1) % p, tag, 0, n);
-}
-
-/// Binomial-tree bcast over an ordered rank subset, rooted at subset index
-/// `root_idx`.
+/// Binomial-tree bcast from ranks[0].
 void bcast_binomial_subset(Comm& c, CollBuf& buf, int tag,
-                           std::span<const int> ranks, int my_idx,
-                           int root_idx) {
+                           std::span<const int> ranks, int my_idx) {
   const int p = static_cast<int>(ranks.size());
   if (p <= 1) return;
   const size_t n = buf.count();
-  const int relative = (my_idx - root_idx + p) % p;
   int mask = 1;
   while (mask < p) {
-    if (relative & mask) {
-      buf.recv_replace(c, ranks[(relative - mask + root_idx) % p], tag, 0, n);
+    if (my_idx & mask) {
+      buf.recv_replace(c, ranks[my_idx - mask], tag, 0, n);
       break;
     }
     mask <<= 1;
   }
   mask >>= 1;
   while (mask > 0) {
-    if (relative + mask < p) {
-      buf.send_range(c, ranks[(relative + mask + root_idx) % p], tag, 0, n);
-    }
+    if (my_idx + mask < p) buf.send_range(c, ranks[my_idx + mask], tag, 0, n);
     mask >>= 1;
   }
 }
@@ -320,73 +245,28 @@ void allreduce_hierarchical(Comm& c, CollBuf& buf, int tag) {
   const auto& groups = c.node_groups();
   const int g = c.my_node_group();
   const auto& mine = groups[static_cast<size_t>(g)];
-  const int leader = mine.front();  // lowest local rank on the node
-  const int r = c.rank();
-  const size_t n = buf.count();
+  const int my_idx = index_of(mine, c.rank());  // 0: the node leader
 
-  // 1) intra-node linear reduce onto the node leader (ascending-rank fold).
-  if (r == leader) {
-    for (size_t i = 1; i < mine.size(); ++i) {
-      buf.recv_reduce(c, mine[i], tag, 0, n, /*partner_lower=*/false);
-    }
-  } else {
-    buf.send_range(c, leader, tag, 0, n);
-  }
+  // 1) intra-node linear reduce onto the node leader (lowest local rank).
+  reduce_linear(c, buf, tag, mine, my_idx);
 
   // 2) inter-node allreduce among the leaders only, one NIC injector per
   //    node. Same size crossover as the flat selector: recursive doubling
   //    when latency-bound, ring when bandwidth-bound.
-  if (groups.size() > 1 && r == leader) {
+  if (groups.size() > 1 && my_idx == 0) {
     std::vector<int> leaders;
     leaders.reserve(groups.size());
     for (const auto& grp : groups) leaders.push_back(grp.front());
     ScopedNicExclusive exclusive(c);
     if (buf.total_bytes() >= kRingThresholdBytes && leaders.size() > 2) {
-      allreduce_ring_subset(c, buf, tag, leaders, g, 0, n);
+      allreduce_ring_subset(c, buf, tag, leaders, g);
     } else {
       allreduce_rdb_subset(c, buf, tag, leaders, g);
     }
   }
 
   // 3) intra-node bcast of the reduced vector from the leader.
-  if (mine.size() > 1) {
-    bcast_binomial_subset(c, buf, tag, mine, index_of(mine, r),
-                          /*root_idx=*/0);
-  }
-}
-
-void bcast_hierarchical(Comm& c, CollBuf& buf, int tag, int root) {
-  const auto& groups = c.node_groups();
-  const int g = c.my_node_group();
-  const auto& mine = groups[static_cast<size_t>(g)];
-  const int r = c.rank();
-
-  // One representative per node: the leader, except the root's node which
-  // the root itself represents (no extra intra-node hop before the fabric).
-  std::vector<int> reps;
-  reps.reserve(groups.size());
-  int root_gidx = -1;
-  for (size_t i = 0; i < groups.size(); ++i) {
-    int rep = groups[i].front();
-    if (std::find(groups[i].begin(), groups[i].end(), root) !=
-        groups[i].end()) {
-      rep = root;
-      root_gidx = static_cast<int>(i);
-    }
-    reps.push_back(rep);
-  }
-  XG_ASSERT(root_gidx >= 0);
-
-  // 1) inter-node bcast among the representatives, one injector per node.
-  if (groups.size() > 1 && r == reps[static_cast<size_t>(g)]) {
-    ScopedNicExclusive exclusive(c);
-    bcast_binomial_subset(c, buf, tag, reps, g, root_gidx);
-  }
-  // 2) intra-node bcast from each node's representative.
-  if (mine.size() > 1) {
-    bcast_binomial_subset(c, buf, tag, mine, index_of(mine, r),
-                          index_of(mine, reps[static_cast<size_t>(g)]));
-  }
+  bcast_binomial_subset(c, buf, tag, mine, my_idx);
 }
 
 // --- block collectives ------------------------------------------------------
@@ -507,20 +387,6 @@ void alltoall_bruck(Comm& c, BlockBuf& buf, int tag) {
 
 }  // namespace
 
-void ring_reduce_scatter_impl(Comm& c, CollBuf& buf, int tag) {
-  const auto ranks = identity_ranks(c.size());
-  ring_reduce_scatter_subset(c, buf, tag, ranks, c.rank(), 0, buf.count());
-}
-
-void scan_impl(Comm& c, CollBuf& buf) {
-  const int tag = c.internal_tag();
-  const int p = c.size();
-  const int r = c.rank();
-  const size_t n = buf.count();
-  if (r > 0) buf.recv_reduce(c, r - 1, tag, 0, n, /*partner_lower=*/true);
-  if (r < p - 1) buf.send_range(c, r + 1, tag, 0, n);
-}
-
 CollAlg allreduce_impl(Comm& c, CollBuf& buf, CollAlg alg) {
   alg = c.resolve_alg(TraceEvent::Kind::kAllReduce, buf.total_bytes(), alg);
   const int tag = c.internal_tag();
@@ -529,21 +395,14 @@ CollAlg allreduce_impl(Comm& c, CollBuf& buf, CollAlg alg) {
   const int r = c.rank();
   switch (alg) {
     case CollAlg::kLinear:
-      reduce_linear(c, buf, tag, /*root=*/0);
-      bcast_binomial_subset(c, buf, c.internal_tag(), ranks, r, 0);
-      break;
-    case CollAlg::kBinomial:
-      reduce_binomial(c, buf, tag, /*root=*/0);
-      bcast_binomial_subset(c, buf, c.internal_tag(), ranks, r, 0);
+      reduce_linear(c, buf, tag, ranks, r);
+      bcast_binomial_subset(c, buf, c.internal_tag(), ranks, r);
       break;
     case CollAlg::kRecursiveDoubling:
       allreduce_rdb_subset(c, buf, tag, ranks, r);
       break;
     case CollAlg::kRing:
-      allreduce_ring_subset(c, buf, tag, ranks, r, 0, buf.count());
-      break;
-    case CollAlg::kSegmentedRing:
-      allreduce_segmented_ring(c, buf, tag, ranks, r);
+      allreduce_ring_subset(c, buf, tag, ranks, r);
       break;
     case CollAlg::kRabenseifner:
       allreduce_rabenseifner(c, buf, tag);
@@ -556,47 +415,6 @@ CollAlg allreduce_impl(Comm& c, CollBuf& buf, CollAlg alg) {
       break;
     default:
       throw_bad_alg("allreduce", alg);
-  }
-  return alg;
-}
-
-CollAlg reduce_impl(Comm& c, CollBuf& buf, int root, CollAlg alg) {
-  alg = c.resolve_alg(TraceEvent::Kind::kReduce, buf.total_bytes(), alg);
-  const int tag = c.internal_tag();
-  if (c.size() == 1) return alg;
-  switch (alg) {
-    case CollAlg::kLinear:
-      reduce_linear(c, buf, tag, root);
-      break;
-    case CollAlg::kBinomial:
-      reduce_binomial(c, buf, tag, root);
-      break;
-    default:
-      throw_bad_alg("reduce", alg);
-  }
-  return alg;
-}
-
-CollAlg bcast_impl(Comm& c, CollBuf& buf, int root, CollAlg alg) {
-  alg = c.resolve_alg(TraceEvent::Kind::kBcast, buf.total_bytes(), alg);
-  const int tag = c.internal_tag();
-  if (c.size() == 1) return alg;
-  const auto ranks = identity_ranks(c.size());
-  switch (alg) {
-    case CollAlg::kLinear:
-      bcast_linear(c, buf, tag, root);
-      break;
-    case CollAlg::kChain:
-      bcast_chain(c, buf, tag, root);
-      break;
-    case CollAlg::kBinomial:
-      bcast_binomial_subset(c, buf, tag, ranks, c.rank(), root);
-      break;
-    case CollAlg::kHierarchical:
-      bcast_hierarchical(c, buf, tag, root);
-      break;
-    default:
-      throw_bad_alg("bcast", alg);
   }
   return alg;
 }
@@ -647,11 +465,8 @@ const char* coll_alg_name(CollAlg alg) {
   switch (alg) {
     case CollAlg::kAuto: return "auto";
     case CollAlg::kLinear: return "linear";
-    case CollAlg::kChain: return "chain";
-    case CollAlg::kBinomial: return "binomial";
     case CollAlg::kRecursiveDoubling: return "recursive_doubling";
     case CollAlg::kRing: return "ring";
-    case CollAlg::kSegmentedRing: return "segmented_ring";
     case CollAlg::kRabenseifner: return "rabenseifner";
     case CollAlg::kBruck: return "bruck";
     case CollAlg::kPairwise: return "pairwise";
@@ -663,14 +478,12 @@ const char* coll_alg_name(CollAlg alg) {
 }
 
 CollAlg coll_alg_from_name(std::string_view name) {
-  static constexpr std::array<CollAlg, 13> kAll = {
-      CollAlg::kAuto,           CollAlg::kLinear,
-      CollAlg::kChain,          CollAlg::kBinomial,
+  static constexpr std::array<CollAlg, 10> kAll = {
+      CollAlg::kAuto,         CollAlg::kLinear,
       CollAlg::kRecursiveDoubling, CollAlg::kRing,
-      CollAlg::kSegmentedRing,  CollAlg::kRabenseifner,
-      CollAlg::kBruck,          CollAlg::kPairwise,
-      CollAlg::kHierarchical,   CollAlg::kDissemination,
-      CollAlg::kBrokenForTesting,
+      CollAlg::kRabenseifner, CollAlg::kBruck,
+      CollAlg::kPairwise,     CollAlg::kHierarchical,
+      CollAlg::kDissemination, CollAlg::kBrokenForTesting,
   };
   for (const CollAlg a : kAll) {
     if (name == coll_alg_name(a)) return a;
@@ -682,8 +495,6 @@ CollAlg coll_alg_from_name(std::string_view name) {
 const char* coll_kind_key(TraceEvent::Kind kind) {
   switch (kind) {
     case TraceEvent::Kind::kAllReduce: return "allreduce";
-    case TraceEvent::Kind::kReduce: return "reduce";
-    case TraceEvent::Kind::kBcast: return "bcast";
     case TraceEvent::Kind::kAllGather: return "allgather";
     case TraceEvent::Kind::kAllToAll: return "alltoall";
     default: return nullptr;
@@ -691,9 +502,8 @@ const char* coll_kind_key(TraceEvent::Kind kind) {
 }
 
 TraceEvent::Kind coll_kind_from_key(std::string_view key) {
-  static constexpr std::array<TraceEvent::Kind, 5> kGoverned = {
-      TraceEvent::Kind::kAllReduce, TraceEvent::Kind::kReduce,
-      TraceEvent::Kind::kBcast, TraceEvent::Kind::kAllGather,
+  static constexpr std::array<TraceEvent::Kind, 3> kGoverned = {
+      TraceEvent::Kind::kAllReduce, TraceEvent::Kind::kAllGather,
       TraceEvent::Kind::kAllToAll,
   };
   for (const auto k : kGoverned) {
@@ -705,16 +515,10 @@ TraceEvent::Kind coll_kind_from_key(std::string_view key) {
 
 namespace {
 
-constexpr std::array<CollAlg, 7> kAllReduceAlgs = {
-    CollAlg::kLinear,       CollAlg::kBinomial,     CollAlg::kRecursiveDoubling,
-    CollAlg::kRing,         CollAlg::kSegmentedRing, CollAlg::kRabenseifner,
-    CollAlg::kHierarchical,
+constexpr std::array<CollAlg, 5> kAllReduceAlgs = {
+    CollAlg::kLinear, CollAlg::kRecursiveDoubling, CollAlg::kRing,
+    CollAlg::kRabenseifner, CollAlg::kHierarchical,
 };
-constexpr std::array<CollAlg, 2> kReduceAlgs = {CollAlg::kLinear,
-                                                CollAlg::kBinomial};
-constexpr std::array<CollAlg, 4> kBcastAlgs = {
-    CollAlg::kLinear, CollAlg::kChain, CollAlg::kBinomial,
-    CollAlg::kHierarchical};
 constexpr std::array<CollAlg, 3> kAllGatherAlgs = {
     CollAlg::kLinear, CollAlg::kRing, CollAlg::kBruck};
 constexpr std::array<CollAlg, 3> kAllToAllAlgs = {
@@ -723,10 +527,11 @@ constexpr std::array<CollAlg, 3> kAllToAllAlgs = {
 /// The pre-selector fixed behavior and the tuned fallbacks share this shape;
 /// `legacy` disables every topology-aware or small-message refinement.
 CollAlg builtin_choose(TraceEvent::Kind kind, std::uint64_t bytes, int p,
-                       bool spans, bool legacy) {
+                       bool legacy) {
   // The tuned cutoffs below are the xgyro_colltune sweep's argmins on the
-  // frontier_like machine (256 B .. 1 MiB x 2 .. 256 ranks); rerun the tool
-  // after a network-model change to re-derive them.
+  // frontier_like machine, at the sweep's grid points (256 B .. 1 MiB x
+  // 2 .. 256 ranks); rerun the tool after a network-model change to
+  // re-derive them.
   constexpr std::uint64_t kRingThresholdBytes = 64 * 1024;
   switch (kind) {
     case TraceEvent::Kind::kAllReduce:
@@ -742,22 +547,6 @@ CollAlg builtin_choose(TraceEvent::Kind kind, std::uint64_t bytes, int p,
       // doubling, and it beats the ring everywhere the sweep looked.
       return (bytes >= 256 * 1024 && p > 2) ? CollAlg::kRabenseifner
                                             : CollAlg::kRecursiveDoubling;
-    case TraceEvent::Kind::kReduce:
-      if (legacy) return CollAlg::kBinomial;
-      // The root's receives are o_recv-bound once eager sends overlap, so
-      // linear wins within a node and for bandwidth-bound large payloads;
-      // binomial wins the latency-bound internode cells.
-      if (spans && bytes < 512 * 1024) return CollAlg::kBinomial;
-      return CollAlg::kLinear;
-    case TraceEvent::Kind::kBcast:
-      // Hierarchical wins every node-spanning cell in the sweep: one copy
-      // crosses each node boundary instead of log(P) internode hops, and
-      // the leaders exchange on an exclusive NIC.
-      if (!legacy && spans && p > 2) return CollAlg::kHierarchical;
-      if (!legacy && !spans && p <= 8 && bytes <= 4096) {
-        return CollAlg::kLinear;
-      }
-      return CollAlg::kBinomial;
     case TraceEvent::Kind::kAllGather:
       // Bruck's log(P) doubling rounds move the same total volume as the
       // ring's P-1 rounds but pay (P-1-log P) fewer latencies.
@@ -779,8 +568,6 @@ CollAlg builtin_choose(TraceEvent::Kind kind, std::uint64_t bytes, int p,
 std::span<const CollAlg> selectable_algs(TraceEvent::Kind kind) {
   switch (kind) {
     case TraceEvent::Kind::kAllReduce: return kAllReduceAlgs;
-    case TraceEvent::Kind::kReduce: return kReduceAlgs;
-    case TraceEvent::Kind::kBcast: return kBcastAlgs;
     case TraceEvent::Kind::kAllGather: return kAllGatherAlgs;
     case TraceEvent::Kind::kAllToAll: return kAllToAllAlgs;
     default: return {};
@@ -851,7 +638,7 @@ CollAlg CollSelector::choose(TraceEvent::Kind kind, std::uint64_t bytes,
       return rule.alg;
     }
   }
-  return builtin_choose(kind, bytes, participants, spans_nodes, legacy_);
+  return builtin_choose(kind, bytes, participants, legacy_);
 }
 
 }  // namespace xg::mpi

@@ -11,8 +11,8 @@
 //
 // The decision key is (kind, bytes, participants, spans_nodes):
 //   * bytes is the per-rank logical payload exactly as traced —
-//     total buffer bytes for reduce-style collectives, per-rank block bytes
-//     for allgather, per-pair block bytes for alltoall;
+//     total buffer bytes for allreduce, per-rank block bytes for allgather,
+//     per-pair block bytes for alltoall;
 //   * spans_nodes is whether the communicator's members live on more than
 //     one node (rank→node placement from simnet::MachineSpec).
 // All four are member-agreed quantities, so every member resolves the same
@@ -34,8 +34,8 @@ namespace xg::mpi {
 CollAlg coll_alg_from_name(std::string_view name);
 
 /// Lower-case table key for a selector-governed collective kind
-/// ("allreduce", "reduce", "bcast", "allgather", "alltoall"); nullptr for
-/// kinds the selector does not govern (barrier, scan, ...).
+/// ("allreduce", "allgather", "alltoall"); nullptr for the barrier, which
+/// the selector does not govern.
 const char* coll_kind_key(TraceEvent::Kind kind);
 
 /// Inverse of coll_kind_key. Throws xg::InputError on an unknown key.
@@ -72,8 +72,9 @@ class CollSelector {
   explicit CollSelector(std::vector<CollRule> rules,
                         std::string origin = "custom");
 
-  /// Built-in tuned table: topology-aware (hierarchical schedules for
-  /// node-spanning communicators) with MPICH-style size cutoffs elsewhere.
+  /// Built-in tuned table: size and communicator-size cutoffs taken from an
+  /// xgyro_colltune sweep (Rabenseifner for large AllReduce payloads, Bruck
+  /// for small AllGather/AllToAll blocks).
   static const CollSelector& tuned();
 
   /// The fixed pre-selector behavior (recursive-doubling/ring AllReduce at a

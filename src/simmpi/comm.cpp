@@ -124,24 +124,6 @@ void Comm::allreduce_virtual(std::uint64_t bytes, CollAlg alg) {
                     /*has_hash=*/false, 0);
 }
 
-void Comm::reduce_virtual(std::uint64_t bytes, int root, CollAlg alg) {
-  const double t0 = proc_->now();
-  const std::uint64_t seq = collective_seq();
-  detail::VirtualCollBuf buf(bytes);
-  const CollAlg ran = detail::reduce_impl(*this, buf, root, alg);
-  finish_collective(TraceEvent::Kind::kReduce, ran, bytes, t0, seq,
-                    /*has_hash=*/false, 0);
-}
-
-void Comm::bcast_virtual(std::uint64_t bytes, int root, CollAlg alg) {
-  const double t0 = proc_->now();
-  const std::uint64_t seq = collective_seq();
-  detail::VirtualCollBuf buf(bytes);
-  const CollAlg ran = detail::bcast_impl(*this, buf, root, alg);
-  finish_collective(TraceEvent::Kind::kBcast, ran, bytes, t0, seq,
-                    /*has_hash=*/false, 0);
-}
-
 void Comm::alltoall_virtual(std::uint64_t bytes_per_pair, CollAlg alg) {
   const double t0 = proc_->now();
   const std::uint64_t seq = collective_seq();
@@ -157,26 +139,6 @@ void Comm::allgather_virtual(std::uint64_t bytes_per_rank, CollAlg alg) {
   detail::VirtualBlockBuf buf(bytes_per_rank);
   const CollAlg ran = detail::allgather_impl(*this, buf, alg);
   finish_collective(TraceEvent::Kind::kAllGather, ran, bytes_per_rank, t0, seq,
-                    /*has_hash=*/false, 0);
-}
-
-void Comm::reduce_scatter_virtual(std::uint64_t bytes_per_block) {
-  const double t0 = proc_->now();
-  const std::uint64_t seq = collective_seq();
-  if (size() > 1) {
-    detail::VirtualCollBuf buf(bytes_per_block * size());
-    detail::ring_reduce_scatter_impl(*this, buf, internal_tag());
-  }
-  finish_collective(TraceEvent::Kind::kReduceScatter, CollAlg::kRing,
-                    bytes_per_block, t0, seq, /*has_hash=*/false, 0);
-}
-
-void Comm::scan_virtual(std::uint64_t bytes) {
-  const double t0 = proc_->now();
-  const std::uint64_t seq = collective_seq();
-  detail::VirtualCollBuf buf(bytes);
-  detail::scan_impl(*this, buf);
-  finish_collective(TraceEvent::Kind::kScan, CollAlg::kChain, bytes, t0, seq,
                     /*has_hash=*/false, 0);
 }
 

@@ -1,12 +1,13 @@
 // Communicators and collective operations for the simulated MPI runtime.
 //
-// Collectives are implemented with the textbook algorithms real MPI
-// libraries use (binomial trees, recursive doubling, ring reduce-scatter,
-// Rabenseifner, Bruck, pairwise exchange, hierarchical leader schedules),
-// built on the eager p2p layer. Their cost therefore *emerges* from the
-// message schedule — in particular, AllReduce cost grows with the number of
-// participating processes, which is exactly the effect the XGYRO paper
-// exploits by shrinking the str-phase communicator.
+// The collectives are the ones the CGYRO/XGYRO skeleton calls — AllReduce,
+// AllGather, AllToAll and Barrier — implemented with the textbook
+// algorithms real MPI libraries use (recursive doubling, ring, Rabenseifner,
+// Bruck, pairwise exchange, hierarchical leader schedules) on the eager p2p
+// layer. Their cost therefore *emerges* from the message schedule — in
+// particular, AllReduce cost grows with the number of participating
+// processes, which is exactly the effect the XGYRO paper exploits by
+// shrinking the str-phase communicator.
 //
 // Which algorithm runs is decided per call: an explicit CollAlg request, or
 // (the default, CollAlg::kAuto) the run's CollSelector mapping
@@ -33,10 +34,6 @@ namespace xg::mpi {
 
 class Comm;
 
-/// Historical name for the per-call algorithm request parameter; collective
-/// algorithms are one shared enum across kinds now (see simmpi/stats.hpp).
-using AllReduceAlg = CollAlg;
-
 namespace detail {
 
 struct Group {
@@ -54,7 +51,7 @@ struct Group {
   /// per node, modelling a communicator that runs alone on the machine.
   int nic_sharers = -1;
   /// Temporary NIC-sharing override (> 0 wins over nic_sharers) used by the
-  /// hierarchical schedules: during the inter-node stage only one rank per
+  /// hierarchical AllReduce: during the inter-node stage only one rank per
   /// node (the leader) injects, so it gets the exclusive per-rank attach
   /// bandwidth. Managed by ScopedNicExclusive.
   int nic_override = 0;
@@ -69,7 +66,7 @@ struct Group {
   int my_group = -1;  ///< index into node_groups of this rank's node
 };
 
-/// Type-erased element buffer used by reduce-style collectives.
+/// Type-erased element buffer used by the AllReduce schedules.
 class CollBuf {
  public:
   virtual ~CollBuf() = default;
@@ -109,14 +106,8 @@ class BlockBuf {
 // schedule, and returns the algorithm that actually ran — which the caller
 // records on the trace row and reports to the invariant monitor.
 CollAlg allreduce_impl(Comm& c, CollBuf& buf, CollAlg alg);
-CollAlg reduce_impl(Comm& c, CollBuf& buf, int root, CollAlg alg);
-CollAlg bcast_impl(Comm& c, CollBuf& buf, int root, CollAlg alg);
 CollAlg alltoall_impl(Comm& c, BlockBuf& buf, CollAlg alg);
 CollAlg allgather_impl(Comm& c, BlockBuf& buf, CollAlg alg);
-/// Ring reduce-scatter: after return, rank r holds the fully reduced chunk
-/// (r+1) mod size in its buffer (chunk_lo partition).
-void ring_reduce_scatter_impl(Comm& c, CollBuf& buf, int tag);
-void scan_impl(Comm& c, CollBuf& buf);
 
 }  // namespace detail
 
@@ -213,16 +204,6 @@ class Comm {
   }
   void allreduce_virtual(std::uint64_t bytes, CollAlg alg = CollAlg::kAuto);
 
-  template <typename T, typename Op>
-  void reduce(std::span<T> data, Op op, int root, CollAlg alg = CollAlg::kAuto);
-  void reduce_virtual(std::uint64_t bytes, int root,
-                      CollAlg alg = CollAlg::kAuto);
-
-  template <typename T>
-  void bcast(std::span<T> data, int root, CollAlg alg = CollAlg::kAuto);
-  void bcast_virtual(std::uint64_t bytes, int root,
-                     CollAlg alg = CollAlg::kAuto);
-
   /// MPI_Alltoall: `send.size() == recv.size() == count_per_rank * size()`.
   template <typename T>
   void alltoall(std::span<const T> send_data, std::span<T> recv_data,
@@ -236,27 +217,6 @@ class Comm {
                  CollAlg alg = CollAlg::kAuto);
   void allgather_virtual(std::uint64_t bytes_per_rank,
                          CollAlg alg = CollAlg::kAuto);
-
-  /// MPI_Reduce_scatter_block: `full.size() == count * size()`; rank r ends
-  /// with the element-wise reduction of everyone's block r in `mine`
-  /// (`mine.size() == count`). Ring algorithm — bandwidth-optimal, the
-  /// building block of the large-payload AllReduce.
-  template <typename T, typename Op>
-  void reduce_scatter_block(std::span<const T> full, std::span<T> mine, Op op);
-  void reduce_scatter_virtual(std::uint64_t bytes_per_block);
-
-  /// MPI_Scan (inclusive prefix reduction in rank order): rank r ends with
-  /// op(block_0, ..., block_r). Linear chain algorithm.
-  template <typename T, typename Op>
-  void scan(std::span<T> data, Op op);
-  void scan_virtual(std::uint64_t bytes);
-
-  /// MPI_Gather / MPI_Scatter (linear algorithms). Non-root ranks may pass
-  /// an empty `all` span.
-  template <typename T>
-  void gather(std::span<const T> mine, std::span<T> all, int root);
-  template <typename T>
-  void scatter(std::span<const T> all, std::span<T> mine, int root);
 
   // --- construction --------------------------------------------------------
 
@@ -272,7 +232,7 @@ class Comm {
 
   static Comm make_world(Proc& proc);
 
-  // --- topology view (used by the selector and hierarchical schedules) -----
+  // --- topology view (used by the selector and the hierarchical AllReduce) --
 
   /// True when this communicator's members are placed on more than one node.
   [[nodiscard]] bool spans_nodes() const;
@@ -325,7 +285,7 @@ class Comm {
 };
 
 /// RAII: model the calling rank as its node's only NIC injector for the
-/// scope's duration. The hierarchical schedules wrap their inter-node stage
+/// scope's duration. The hierarchical AllReduce wraps its inter-node stage
 /// in this — exactly one rank per node (the leader) is communicating, so the
 /// machine model's NIC fair-share divisor drops to 1 and sparse injectors
 /// get the full per-rank attach bandwidth.
@@ -496,29 +456,6 @@ void Comm::allreduce(std::span<T> data, Op op, CollAlg alg) {
                     Hasher().bytes(data.data(), data.size_bytes()).digest());
 }
 
-template <typename T, typename Op>
-void Comm::reduce(std::span<T> data, Op op, int root, CollAlg alg) {
-  const double t0 = proc_->now();
-  const std::uint64_t seq = collective_seq();
-  detail::TypedCollBuf<T, Op> buf(data, op);
-  const CollAlg ran = detail::reduce_impl(*this, buf, root, alg);
-  finish_collective(TraceEvent::Kind::kReduce, ran, data.size_bytes(), t0, seq,
-                    /*has_hash=*/false, 0);
-}
-
-template <typename T>
-void Comm::bcast(std::span<T> data, int root, CollAlg alg) {
-  const double t0 = proc_->now();
-  const std::uint64_t seq = collective_seq();
-  // Op unused by bcast; supply a no-op combiner.
-  auto nop = [](T a, T) { return a; };
-  detail::TypedCollBuf<T, decltype(nop)> buf(data, nop);
-  const CollAlg ran = detail::bcast_impl(*this, buf, root, alg);
-  finish_collective(TraceEvent::Kind::kBcast, ran, data.size_bytes(), t0, seq,
-                    /*has_hash=*/true,
-                    Hasher().bytes(data.data(), data.size_bytes()).digest());
-}
-
 template <typename T>
 void Comm::alltoall(std::span<const T> send_data, std::span<T> recv_data,
                     CollAlg alg) {
@@ -546,95 +483,6 @@ void Comm::allgather(std::span<const T> mine, std::span<T> all, CollAlg alg) {
   finish_collective(TraceEvent::Kind::kAllGather, ran, mine.size_bytes(), t0,
                     seq, /*has_hash=*/true,
                     Hasher().bytes(all.data(), all.size_bytes()).digest());
-}
-
-template <typename T, typename Op>
-void Comm::reduce_scatter_block(std::span<const T> full, std::span<T> mine,
-                                Op op) {
-  const int p = size();
-  XG_REQUIRE(full.size() == mine.size() * static_cast<size_t>(p),
-             "reduce_scatter_block: full must be size() blocks");
-  const double t0 = proc_->now();
-  const std::uint64_t seq = collective_seq();
-  const size_t count = mine.size();
-  if (p == 1) {
-    std::copy(full.begin(), full.end(), mine.begin());
-    finish_collective(TraceEvent::Kind::kReduceScatter, CollAlg::kRing,
-                      count * sizeof(T), t0, seq, /*has_hash=*/false, 0);
-    return;
-  }
-  // Stage blocks shifted by +1 so the ring's natural owner — rank r ends
-  // with physical chunk (r+1) mod p — corresponds to logical block r.
-  std::vector<T> scratch(full.size());
-  for (int j = 0; j < p; ++j) {
-    std::copy(full.begin() + static_cast<size_t>(j) * count,
-              full.begin() + static_cast<size_t>(j + 1) * count,
-              scratch.begin() + (static_cast<size_t>((j + 1) % p)) * count);
-  }
-  detail::TypedCollBuf<T, Op> buf(std::span<T>(scratch), op);
-  detail::ring_reduce_scatter_impl(*this, buf, internal_tag());
-  const size_t own = static_cast<size_t>((rank() + 1) % p) * count;
-  std::copy(scratch.begin() + own, scratch.begin() + own + count, mine.begin());
-  finish_collective(TraceEvent::Kind::kReduceScatter, CollAlg::kRing,
-                    count * sizeof(T), t0, seq, /*has_hash=*/false, 0);
-}
-
-template <typename T, typename Op>
-void Comm::scan(std::span<T> data, Op op) {
-  const double t0 = proc_->now();
-  const std::uint64_t seq = collective_seq();
-  detail::TypedCollBuf<T, Op> buf(data, op);
-  detail::scan_impl(*this, buf);
-  finish_collective(TraceEvent::Kind::kScan, CollAlg::kChain, data.size_bytes(),
-                    t0, seq, /*has_hash=*/false, 0);
-}
-
-template <typename T>
-void Comm::gather(std::span<const T> mine, std::span<T> all, int root) {
-  const double t0 = proc_->now();
-  const std::uint64_t seq = collective_seq();
-  const int tag = internal_tag();
-  if (myrank_ == root) {
-    XG_REQUIRE(all.size() == mine.size() * static_cast<size_t>(size()),
-               "gather: root output must be size() blocks");
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) {
-        std::memcpy(all.data() + static_cast<size_t>(r) * mine.size(),
-                    mine.data(), mine.size_bytes());
-      } else {
-        recv_bytes(r, tag, all.data() + static_cast<size_t>(r) * mine.size(),
-                   mine.size_bytes());
-      }
-    }
-  } else {
-    send(mine, root, tag);
-  }
-  finish_collective(TraceEvent::Kind::kGather, CollAlg::kLinear,
-                    mine.size_bytes(), t0, seq, /*has_hash=*/false, 0);
-}
-
-template <typename T>
-void Comm::scatter(std::span<const T> all, std::span<T> mine, int root) {
-  const double t0 = proc_->now();
-  const std::uint64_t seq = collective_seq();
-  const int tag = internal_tag();
-  if (myrank_ == root) {
-    XG_REQUIRE(all.size() == mine.size() * static_cast<size_t>(size()),
-               "scatter: root input must be size() blocks");
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) {
-        std::memcpy(mine.data(), all.data() + static_cast<size_t>(r) * mine.size(),
-                    mine.size_bytes());
-      } else {
-        send_bytes(r, tag, all.data() + static_cast<size_t>(r) * mine.size(),
-                   mine.size_bytes());
-      }
-    }
-  } else {
-    recv(mine, root, tag);
-  }
-  finish_collective(TraceEvent::Kind::kScatter, CollAlg::kLinear,
-                    mine.size_bytes(), t0, seq, /*has_hash=*/false, 0);
 }
 
 }  // namespace xg::mpi

@@ -417,15 +417,9 @@ void annotate_collective_arrivals(std::vector<TraceEvent>& trace) {
 const char* trace_kind_name(TraceEvent::Kind kind) {
   switch (kind) {
     case TraceEvent::Kind::kBarrier: return "Barrier";
-    case TraceEvent::Kind::kBcast: return "Bcast";
-    case TraceEvent::Kind::kReduce: return "Reduce";
     case TraceEvent::Kind::kAllReduce: return "AllReduce";
     case TraceEvent::Kind::kAllGather: return "AllGather";
     case TraceEvent::Kind::kAllToAll: return "AllToAll";
-    case TraceEvent::Kind::kGather: return "Gather";
-    case TraceEvent::Kind::kScatter: return "Scatter";
-    case TraceEvent::Kind::kReduceScatter: return "ReduceScatter";
-    case TraceEvent::Kind::kScan: return "Scan";
   }
   return "?";
 }

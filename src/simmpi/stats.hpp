@@ -56,11 +56,8 @@ struct ProcStats {
 enum class CollAlg {
   kAuto,
   kLinear,
-  kChain,
-  kBinomial,
   kRecursiveDoubling,
   kRing,
-  kSegmentedRing,
   kRabenseifner,
   kBruck,
   kPairwise,
@@ -81,15 +78,9 @@ const char* coll_alg_name(CollAlg alg);
 struct TraceEvent {
   enum class Kind {
     kBarrier,
-    kBcast,
-    kReduce,
     kAllReduce,
     kAllGather,
     kAllToAll,
-    kGather,
-    kScatter,
-    kReduceScatter,
-    kScan,
   };
   Kind kind{};
   CollAlg alg = CollAlg::kAuto;  ///< algorithm that actually ran (never kAuto

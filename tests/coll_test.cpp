@@ -128,78 +128,6 @@ TEST(CollDifferential, AllReduceBitExactUnderStragglerAndJitter) {
 }
 
 // ---------------------------------------------------------------------------
-// Reduce: root ends with the serial sum under every algorithm.
-
-void check_reduce(const std::string& fault_spec) {
-  const int n = 64;
-  for (const int p : kRankCounts) {
-    const auto expected = serial_sum(p, n, /*salt=*/3);
-    for (const CollAlg alg : selectable_algs(Kind::kReduce)) {
-      for (const int root : {0, p - 1}) {
-        const auto results = run_collect(
-            p, n,
-            [&](Proc& proc) {
-              auto data = rank_payload(proc.world().rank(), n, 3);
-              proc.world().reduce(
-                  std::span<double>(data), [](double a, double b) { return a + b; },
-                  root, alg);
-              return data;
-            },
-            with_faults(fault_spec));
-        EXPECT_TRUE(bit_equal(results[static_cast<std::size_t>(root)], expected))
-            << coll_alg_name(alg) << " p=" << p << " root=" << root;
-      }
-    }
-  }
-}
-
-TEST(CollDifferential, ReduceAllAlgorithmsMatchSerialReference) {
-  check_reduce("");
-}
-
-TEST(CollDifferential, ReduceBitExactUnderFaults) {
-  check_reduce("seed=11;straggler=0x2.5;delay=0.3x1e-6");
-}
-
-// ---------------------------------------------------------------------------
-// Bcast: every rank ends with the root's buffer under every algorithm.
-
-void check_bcast(const std::string& fault_spec) {
-  const int n = 80;
-  for (const int p : kRankCounts) {
-    for (const CollAlg alg : selectable_algs(Kind::kBcast)) {
-      for (const int root : {0, p / 2}) {
-        const auto expected = rank_payload(root, n, 5);
-        const auto results = run_collect(
-            p, n,
-            [&](Proc& proc) {
-              // Non-root buffers start as garbage that must be overwritten.
-              auto data = proc.world().rank() == root
-                              ? rank_payload(root, n, 5)
-                              : std::vector<double>(static_cast<std::size_t>(n), -1.0);
-              proc.world().bcast(std::span<double>(data), root, alg);
-              return data;
-            },
-            with_faults(fault_spec));
-        for (int r = 0; r < p; ++r) {
-          EXPECT_TRUE(bit_equal(results[static_cast<std::size_t>(r)], expected))
-              << coll_alg_name(alg) << " p=" << p << " root=" << root
-              << " rank=" << r;
-        }
-      }
-    }
-  }
-}
-
-TEST(CollDifferential, BcastAllAlgorithmsDeliverRootBuffer) {
-  check_bcast("");
-}
-
-TEST(CollDifferential, BcastBitExactUnderFaults) {
-  check_bcast("seed=13;straggler=0x4.0;jitter=1x0.3");
-}
-
-// ---------------------------------------------------------------------------
 // AllGather: concatenation in rank order under every algorithm.
 
 void check_allgather(const std::string& fault_spec) {
@@ -287,8 +215,8 @@ TEST(CollDifferential, AllToAllBitExactUnderFaults) {
 
 TEST(CollSelectorTest, GovernedKindsNeverResolveToAuto) {
   for (const auto* sel : {&CollSelector::tuned(), &CollSelector::legacy()}) {
-    for (const Kind kind : {Kind::kAllReduce, Kind::kReduce, Kind::kBcast,
-                            Kind::kAllGather, Kind::kAllToAll}) {
+    for (const Kind kind : {Kind::kAllReduce, Kind::kAllGather,
+                            Kind::kAllToAll}) {
       for (const std::uint64_t bytes : {64ull, 4096ull, 65536ull, 1048576ull}) {
         for (const int p : {2, 5, 17, 256}) {
           for (const bool spans : {false, true}) {
@@ -306,17 +234,15 @@ TEST(CollSelectorTest, GovernedKindsNeverResolveToAuto) {
 TEST(CollSelectorTest, TunedPrefersTopologyAwareSchedules) {
   const auto& t = CollSelector::tuned();
   // Measured on the frontier-like DES (xgyro_colltune sweep): Rabenseifner
-  // from 256 KiB, hierarchical for any node-spanning bcast, Bruck gathers.
+  // from 256 KiB, Bruck gathers.
   EXPECT_EQ(t.choose(Kind::kAllReduce, 512 * 1024, 128, true),
             CollAlg::kRabenseifner);
   EXPECT_EQ(t.choose(Kind::kAllReduce, 4096, 128, true),
             CollAlg::kRecursiveDoubling);
-  EXPECT_EQ(t.choose(Kind::kBcast, 65536, 64, true), CollAlg::kHierarchical);
   EXPECT_EQ(t.choose(Kind::kAllGather, 4096, 64, true), CollAlg::kBruck);
   // Legacy keeps the fixed pre-selector behavior: ring AllReduce >= 64 KiB.
   const auto& l = CollSelector::legacy();
   EXPECT_EQ(l.choose(Kind::kAllReduce, 512 * 1024, 128, true), CollAlg::kRing);
-  EXPECT_EQ(l.choose(Kind::kBcast, 65536, 64, true), CollAlg::kBinomial);
   EXPECT_TRUE(l.is_legacy());
   EXPECT_FALSE(t.is_legacy());
 }
@@ -326,12 +252,13 @@ TEST(CollSelectorTest, CustomRulesMatchFirstToLastThenFallThrough) {
   rules.push_back({Kind::kAllReduce, 4096, 64, /*spans_nodes=*/0,
                    CollAlg::kLinear});
   rules.push_back({Kind::kAllReduce, 4096, 64, /*spans_nodes=*/-1,
-                   CollAlg::kBinomial});
+                   CollAlg::kHierarchical});
   const CollSelector sel(rules, "test");
   // First rule wins when its spans constraint matches...
   EXPECT_EQ(sel.choose(Kind::kAllReduce, 1024, 8, false), CollAlg::kLinear);
   // ...the second catches the internode case...
-  EXPECT_EQ(sel.choose(Kind::kAllReduce, 1024, 8, true), CollAlg::kBinomial);
+  EXPECT_EQ(sel.choose(Kind::kAllReduce, 1024, 8, true),
+            CollAlg::kHierarchical);
   // ...and uncovered decisions fall through to the built-in tuned table.
   EXPECT_EQ(sel.choose(Kind::kAllReduce, 512 * 1024, 128, true),
             CollSelector::tuned().choose(Kind::kAllReduce, 512 * 1024, 128,
@@ -340,10 +267,10 @@ TEST(CollSelectorTest, CustomRulesMatchFirstToLastThenFallThrough) {
 }
 
 TEST(CollSelectorTest, RejectsAlgorithmInvalidForKind) {
-  // Rabenseifner is an allreduce algorithm; a bcast rule naming it is a
-  // table-authoring bug the constructor must catch.
+  // Rabenseifner is an allreduce algorithm; an allgather rule naming it is
+  // a table-authoring bug the constructor must catch.
   std::vector<CollRule> rules;
-  rules.push_back({Kind::kBcast, 4096, 64, -1, CollAlg::kRabenseifner});
+  rules.push_back({Kind::kAllGather, 4096, 64, -1, CollAlg::kRabenseifner});
   EXPECT_THROW(CollSelector(rules, "bad"), InputError);
   std::vector<CollRule> broken;
   broken.push_back({Kind::kAllReduce, 4096, 64, -1,
@@ -358,15 +285,15 @@ TEST(CollSelectorTest, NamedResolvesBuiltins) {
 }
 
 TEST(CollSelectorTest, AlgAndKindNamesRoundTrip) {
-  for (const Kind kind : {Kind::kAllReduce, Kind::kReduce, Kind::kBcast,
-                          Kind::kAllGather, Kind::kAllToAll}) {
+  for (const Kind kind : {Kind::kAllReduce, Kind::kAllGather,
+                          Kind::kAllToAll}) {
     ASSERT_NE(coll_kind_key(kind), nullptr);
     EXPECT_EQ(coll_kind_from_key(coll_kind_key(kind)), kind);
     for (const CollAlg alg : selectable_algs(kind)) {
       EXPECT_EQ(coll_alg_from_name(coll_alg_name(alg)), alg);
     }
   }
-  EXPECT_EQ(coll_kind_key(Kind::kScan), nullptr);
+  EXPECT_EQ(coll_kind_key(Kind::kBarrier), nullptr);
   EXPECT_THROW(coll_alg_from_name("quantum"), InputError);
   EXPECT_THROW(coll_kind_from_key("scan"), InputError);
 }
@@ -395,6 +322,28 @@ TEST(CollSelectorTest, JsonTableRoundTripsThroughTelemetry) {
   EXPECT_EQ(back->choose(Kind::kAllToAll, 256, 17, false), CollAlg::kBruck);
 }
 
+TEST(CollSelectorTest, JsonTableNamingRemovedKindOrAlgorithmIsRejected) {
+  // Tables from older xgyro_colltune runs can name kinds (bcast, reduce) or
+  // algorithms (binomial, chain, segmented_ring) simmpi does not have; they
+  // must fail loudly, naming what is unknown, instead of loading partially.
+  const auto expect_rejected = [](const char* rule, const char* name) {
+    const auto doc = telemetry::Json::parse(
+        std::string(R"({"schema": "xgyro.coll_table", "schema_version": 1,
+                        "rules": [)") +
+        rule + "]}");
+    try {
+      (void)telemetry::coll_table_from_json(doc);
+      ADD_FAILURE() << "table accepted: " << rule;
+    } catch (const InputError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(R"({"kind": "bcast", "alg": "binomial"})", "'bcast'");
+  expect_rejected(R"({"kind": "allreduce", "alg": "segmented_ring"})",
+                  "'segmented_ring'");
+}
+
 // ---------------------------------------------------------------------------
 // Trace rows record the algorithm that actually ran, members agree, and the
 // run's selector decides kAuto calls.
@@ -409,7 +358,9 @@ TEST(CollTrace, RowsRecordResolvedAlgorithmAndMembersAgree) {
         std::vector<double> data = rank_payload(proc.world().rank(), 8);
         proc.world().allreduce_sum(std::span<double>(data));  // kAuto
         proc.world().allreduce_sum(std::span<double>(data), CollAlg::kRing);
-        proc.world().bcast(std::span<double>(data), 0);  // kAuto
+        std::vector<double> all(data.size() * p);
+        proc.world().allgather(std::span<const double>(data),
+                               std::span<double>(all));  // kAuto
       },
       ropts);
   // Group rows by collective instance; every member must have recorded the
@@ -454,21 +405,42 @@ TEST(CollTrace, RunSelectorGovernsAutoCalls) {
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchical schedules beat flat ones where the tuned table says they do:
-// a node-spanning bcast pays one inter-node hop per tree level instead of
-// log2(p) of them.
+// Each AllReduce schedule outside the tuned table's picks (recursive
+// doubling, Rabenseifner) is kept because it is the fastest somewhere; these
+// cells pin where.
 
-TEST(CollTiming, HierarchicalBcastBeatsBinomialAcrossNodes) {
-  const int nodes = 8, rpn = 8, p = nodes * rpn;
-  auto makespan = [&](CollAlg alg) {
-    return run_simulation(
-               net::frontier_like(nodes), p,
-               [&](Proc& proc) {
-                 proc.world().bcast_virtual(64 * 1024, 0, alg);
-               })
-        .makespan_s;
-  };
-  EXPECT_LT(makespan(CollAlg::kHierarchical), makespan(CollAlg::kBinomial));
+double allreduce_makespan(const net::MachineSpec& spec, int p,
+                          std::uint64_t bytes, CollAlg alg) {
+  return run_simulation(spec, p,
+                        [&](Proc& proc) {
+                          proc.world().allreduce_virtual(bytes, alg);
+                        })
+      .makespan_s;
+}
+
+TEST(CollTiming, HierarchicalAllReduceBeatsRabenseifnerAcrossNodes) {
+  // 24 ranks on 3 frontier_like nodes, 1 MiB: reducing within each node
+  // first leaves 3 leaders exchanging on an exclusive NIC, while
+  // Rabenseifner sends every rank's traffic through NICs shared by 8 ranks
+  // (measured 201.8 vs 223.6 us).
+  const auto spec = net::frontier_like(3);
+  const double hier =
+      allreduce_makespan(spec, 24, 1 << 20, CollAlg::kHierarchical);
+  const double rab =
+      allreduce_makespan(spec, 24, 1 << 20, CollAlg::kRabenseifner);
+  EXPECT_LT(hier, rab);
+}
+
+TEST(CollTiming, LinearAllReduceBeatsRecursiveDoublingOnSmallPayloads) {
+  // 7 single-rank testbox nodes, 64 B, latency-bound: linear pays 3
+  // inter-node latencies (the 6 eager sends to the root overlap, then a
+  // depth-2 binomial bcast), recursive doubling pays 4 (fold, 2 exchanges,
+  // fold-back) (measured 314.6 vs 410.6 us).
+  const auto spec = net::testbox(7, 1);
+  const double linear = allreduce_makespan(spec, 7, 64, CollAlg::kLinear);
+  const double rdb =
+      allreduce_makespan(spec, 7, 64, CollAlg::kRecursiveDoubling);
+  EXPECT_LT(linear, rdb);
 }
 
 }  // namespace

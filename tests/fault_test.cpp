@@ -100,9 +100,9 @@ TEST(Differential, AllreduceAlgorithmsBitIdenticalAcrossRankCounts) {
   for (const int p : {2, 3, 4, 5, 7, 8, 12, 16, 17}) {
     // Integer-valued doubles: addition is exact, so recursive doubling and
     // ring (different association orders) must agree to the last bit.
-    std::map<AllReduceAlg, std::vector<double>> results;
-    for (const auto alg : {AllReduceAlg::kAuto, AllReduceAlg::kRecursiveDoubling,
-                           AllReduceAlg::kRing}) {
+    std::map<CollAlg, std::vector<double>> results;
+    for (const auto alg : {CollAlg::kAuto, CollAlg::kRecursiveDoubling,
+                           CollAlg::kRing}) {
       std::vector<double> rank0(kElems);
       std::mutex mu;
       run_simulation(net::testbox(1, p), p, [&](Proc& proc) {
@@ -121,7 +121,7 @@ TEST(Differential, AllreduceAlgorithmsBitIdenticalAcrossRankCounts) {
       });
       results[alg] = std::move(rank0);
     }
-    const auto& ref = results[AllReduceAlg::kAuto];
+    const auto& ref = results[CollAlg::kAuto];
     for (const auto& [alg, got] : results) {
       ASSERT_EQ(got.size(), ref.size());
       EXPECT_EQ(0, std::memcmp(got.data(), ref.data(),
@@ -479,10 +479,11 @@ TEST(InvariantMonitor, CountsCollectivesOnCleanRuns) {
   const auto r = run_simulation(net::testbox(1, 4), 4, [](Proc& p) {
     auto world = p.world();
     std::vector<double> v(8, 1.0);
-    world.allreduce_sum(std::span<double>(v));
     world.barrier();
-    std::vector<int> b(4, p.world_rank() == 0 ? 7 : 0);
-    world.bcast(std::span<int>(b), /*root=*/0);
+    world.allreduce_sum(std::span<double>(v));
+    const std::vector<int> mine(2, p.world_rank());
+    std::vector<int> all(8);
+    world.allgather(std::span<const int>(mine), std::span<int>(all));
   });
   EXPECT_EQ(r.collectives_checked, 3u);
 }
@@ -504,42 +505,49 @@ TEST(InvariantMonitor, CatchesBrokenAllreduceResultDivergence) {
       run_simulation(net::testbox(1, 5), 5, [](Proc& p) {
         std::vector<double> v(8, static_cast<double>(p.world_rank() + 1));
         p.world().allreduce_sum(std::span<double>(v),
-                                AllReduceAlg::kBrokenForTesting);
+                                CollAlg::kBrokenForTesting);
       }),
       InvariantViolation);
 }
 
 TEST(InvariantMonitor, CatchesCollectiveKindMismatch) {
-  // Both operations are send-only for their caller, so the schedule itself
-  // completes; only the monitor can see the ranks ran *different*
+  // At p=2 an allgather and an alltoall with equal block sizes are the same
+  // message schedule (one block each way on the collective's tag), so both
+  // complete; only the monitor can see the ranks ran *different*
   // collectives for the same (context, seq) slot.
   EXPECT_THROW(
       run_simulation(net::testbox(1, 2), 2, [](Proc& p) {
         auto world = p.world();
         if (p.world_rank() == 0) {
-          std::vector<int> b(2, 1);
-          world.bcast(std::span<int>(b), /*root=*/0);
+          const std::vector<int> mine(2, 1);
+          std::vector<int> all(4);
+          world.allgather(std::span<const int>(mine), std::span<int>(all));
         } else {
-          std::vector<int> all(4, 2), mine(2);
-          world.scatter(std::span<const int>(all), std::span<int>(mine),
-                        /*root=*/1);
+          const std::vector<int> send(4, 2);
+          std::vector<int> recv(4);
+          world.alltoall(std::span<const int>(send), std::span<int>(recv));
         }
       }),
       InvariantViolation);
 }
 
 TEST(InvariantMonitor, FinalCheckCatchesSkippedMember) {
-  // Rank 0 broadcasts (eager send, returns immediately); rank 1 never joins
-  // the collective. The run itself finishes — only final_check can notice
-  // the half-observed record.
-  EXPECT_THROW(
-      run_simulation(net::testbox(1, 2), 2, [](Proc& p) {
-        if (p.world_rank() == 0) {
-          std::vector<int> b(2, 1);
-          p.world().bcast(std::span<int>(b), /*root=*/0);
-        }
-      }),
-      InvariantViolation);
+  // One member of a two-member collective reports and the other never
+  // does: observe() has nothing to disagree with, so only final_check can
+  // notice the half-observed record.
+  InvariantMonitor monitor;
+  InvariantMonitor::Report r;
+  r.context = 1;
+  r.seq = 1;
+  r.kind = TraceEvent::Kind::kAllReduce;
+  r.alg = CollAlg::kRecursiveDoubling;
+  r.participants = 2;
+  r.payload_bytes = 8;
+  r.world_rank = 0;
+  r.comm_label = "world";
+  monitor.observe(r);
+  EXPECT_EQ(monitor.completed(), 0u);
+  EXPECT_THROW(monitor.final_check(), InvariantViolation);
 }
 
 TEST(InvariantMonitor, DelayFaultsDoNotTripInvariants) {

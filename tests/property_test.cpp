@@ -236,7 +236,8 @@ TEST_P(CollectiveSequence, RandomSequenceMatchesOracle) {
 
   // Pre-generate the op schedule (shared by all ranks and the oracle).
   struct Op {
-    int kind;    // 0 allreduce-sum, 1 bcast, 2 allgather, 3 alltoall, 4 barrier
+    int kind;    // 0 allreduce-sum, 1 p2p fan-out from root, 2 allgather,
+                 // 3 alltoall, 4 barrier
     int count;   // elements per rank
     int root;
   };
@@ -275,12 +276,16 @@ TEST_P(CollectiveSequence, RandomSequenceMatchesOracle) {
           }
           break;
         }
-        case 1: {  // bcast
+        case 1: {  // p2p fan-out: root sends its buffer to every other rank
           std::vector<double> buf(static_cast<size_t>(op.count));
           if (r == op.root) {
             for (int e = 0; e < op.count; ++e) buf[e] = value(i, op.root, e);
+            for (int q = 0; q < nranks; ++q) {
+              if (q != op.root) world.send(std::span<const double>(buf), q, i);
+            }
+          } else {
+            world.recv(std::span<double>(buf), op.root, i);
           }
-          world.bcast(std::span<double>(buf), op.root);
           for (int e = 0; e < op.count; ++e) {
             ASSERT_EQ(buf[e], value(i, op.root, e)) << "op " << i;
           }

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cmath>
 #include <map>
-#include <numeric>
 #include <set>
 
 #include "simmpi/comm.hpp"
@@ -336,7 +335,7 @@ TEST_P(CollectiveP, AllReduceSumMatchesSerial) {
     const auto v = rank_values(r, n);
     for (int i = 0; i < n; ++i) expected[i] += v[i];
   }
-  for (const auto alg : {AllReduceAlg::kRecursiveDoubling, AllReduceAlg::kRing}) {
+  for (const auto alg : {CollAlg::kRecursiveDoubling, CollAlg::kRing}) {
     run_simulation(small_machine(p), p, [&, alg](Proc& proc) {
       auto world = proc.world();
       auto mine = rank_values(proc.world_rank(), n);
@@ -374,40 +373,6 @@ TEST_P(CollectiveP, AllReduceMax) {
   });
 }
 
-TEST_P(CollectiveP, BcastFromEveryRoot) {
-  const int p = GetParam();
-  for (int root = 0; root < p; root += std::max(1, p / 3)) {
-    run_simulation(small_machine(p), p, [&](Proc& proc) {
-      std::vector<int> v(5);
-      if (proc.world_rank() == root) {
-        std::iota(v.begin(), v.end(), 100 + root);
-      }
-      proc.world().bcast(std::span<int>(v), root);
-      for (int i = 0; i < 5; ++i) EXPECT_EQ(v[i], 100 + root + i);
-    });
-  }
-}
-
-TEST_P(CollectiveP, ReduceToEveryRoot) {
-  const int p = GetParam();
-  const int n = 9;
-  std::vector<double> expected(n, 0.0);
-  for (int r = 0; r < p; ++r) {
-    const auto v = rank_values(r, n, 3);
-    for (int i = 0; i < n; ++i) expected[i] += v[i];
-  }
-  for (int root = 0; root < p; root += std::max(1, p / 2)) {
-    run_simulation(small_machine(p), p, [&](Proc& proc) {
-      auto mine = rank_values(proc.world_rank(), n, 3);
-      proc.world().reduce(std::span<double>(mine),
-                          [](double a, double b) { return a + b; }, root);
-      if (proc.world_rank() == root) {
-        for (int i = 0; i < n; ++i) EXPECT_NEAR(mine[i], expected[i], 1e-12);
-      }
-    });
-  }
-}
-
 TEST_P(CollectiveP, AllToAllPermutesBlocks) {
   const int p = GetParam();
   const int count = 3;
@@ -443,107 +408,6 @@ TEST_P(CollectiveP, AllGatherCollectsInRankOrder) {
       EXPECT_EQ(all[2 * q + 1], q * 2 + 1);
     }
   });
-}
-
-TEST_P(CollectiveP, GatherScatterRoundTrip) {
-  const int p = GetParam();
-  run_simulation(small_machine(p), p, [&](Proc& proc) {
-    auto world = proc.world();
-    const int root = p / 2;
-    std::vector<double> mine{static_cast<double>(proc.world_rank()) + 0.5};
-    std::vector<double> all(proc.world_rank() == root ? p : 0);
-    world.gather(std::span<const double>(mine), std::span<double>(all), root);
-    if (proc.world_rank() == root) {
-      for (int q = 0; q < p; ++q) EXPECT_DOUBLE_EQ(all[q], q + 0.5);
-      for (auto& v : all) v += 100.0;
-    }
-    std::vector<double> back(1);
-    world.scatter(std::span<const double>(all), std::span<double>(back), root);
-    EXPECT_DOUBLE_EQ(back[0], proc.world_rank() + 100.5);
-  });
-}
-
-TEST_P(CollectiveP, ReduceScatterBlockMatchesSerial) {
-  const int p = GetParam();
-  const int count = 5;
-  // expected: block r = sum over ranks q of q's block r
-  std::vector<double> expected(static_cast<size_t>(count) * p, 0.0);
-  for (int q = 0; q < p; ++q) {
-    const auto v = rank_values(q, count * p, 77);
-    for (size_t i = 0; i < v.size(); ++i) expected[i] += v[i];
-  }
-  run_simulation(small_machine(p), p, [&](Proc& proc) {
-    const auto full = rank_values(proc.world_rank(), count * p, 77);
-    std::vector<double> mine(count);
-    proc.world().reduce_scatter_block(std::span<const double>(full),
-                                      std::span<double>(mine),
-                                      [](double a, double b) { return a + b; });
-    for (int i = 0; i < count; ++i) {
-      EXPECT_NEAR(mine[i],
-                  expected[static_cast<size_t>(proc.world_rank()) * count + i],
-                  1e-12)
-          << "p=" << p << " elem " << i;
-    }
-  });
-}
-
-TEST_P(CollectiveP, ReduceScatterThenAllgatherEqualsAllReduce) {
-  // Identity behind the ring AllReduce, checked end-to-end through the
-  // public API.
-  const int p = GetParam();
-  const int count = 4;
-  run_simulation(small_machine(p), p, [&](Proc& proc) {
-    auto world = proc.world();
-    const auto full = rank_values(proc.world_rank(), count * p, 91);
-    std::vector<double> mine(count);
-    world.reduce_scatter_block(std::span<const double>(full),
-                               std::span<double>(mine),
-                               [](double a, double b) { return a + b; });
-    std::vector<double> gathered(static_cast<size_t>(count) * p);
-    world.allgather(std::span<const double>(mine), std::span<double>(gathered));
-    auto reduced = full;
-    world.allreduce_sum(std::span<double>(reduced));
-    for (size_t i = 0; i < reduced.size(); ++i) {
-      EXPECT_NEAR(gathered[i], reduced[i], 1e-10);
-    }
-  });
-}
-
-TEST_P(CollectiveP, ScanComputesPrefixSums) {
-  const int p = GetParam();
-  const int n = 3;
-  run_simulation(small_machine(p), p, [&](Proc& proc) {
-    std::vector<double> v(n);
-    for (int i = 0; i < n; ++i) v[i] = proc.world_rank() + 1.0 + i;
-    proc.world().scan(std::span<double>(v),
-                      [](double a, double b) { return a + b; });
-    for (int i = 0; i < n; ++i) {
-      double expect = 0;
-      for (int q = 0; q <= proc.world_rank(); ++q) expect += q + 1.0 + i;
-      EXPECT_NEAR(v[i], expect, 1e-12) << "rank " << proc.world_rank();
-    }
-  });
-}
-
-TEST_P(CollectiveP, VirtualReduceScatterAndScanMatchRealTiming) {
-  const int p = GetParam();
-  const size_t count = 128;
-  auto real = run_simulation(small_machine(p), p, [&](Proc& proc) {
-    auto world = proc.world();
-    std::vector<double> full(count * p, 1.0), mine(count);
-    world.reduce_scatter_block(std::span<const double>(full),
-                               std::span<double>(mine),
-                               [](double a, double b) { return a + b; });
-    world.scan(std::span<double>(mine), [](double a, double b) { return a + b; });
-  });
-  auto virt = run_simulation(small_machine(p), p, [&](Proc& proc) {
-    auto world = proc.world();
-    world.reduce_scatter_virtual(count * sizeof(double));
-    world.scan_virtual(count * sizeof(double));
-  });
-  for (size_t i = 0; i < real.ranks.size(); ++i) {
-    EXPECT_NEAR(real.ranks[i].final_time_s, virt.ranks[i].final_time_s, 1e-15);
-  }
 }
 
 TEST_P(CollectiveP, BarrierCompletes) {
