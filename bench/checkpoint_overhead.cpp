@@ -51,20 +51,20 @@ int main(int argc, char** argv) {
         .count();
   };
 
-  campaign::RecoveryOptions opts;
+  xgyro::JobOptions job;
+  job.n_report_intervals = intervals;
+  job.mode = gyro::Mode::kReal;
   double t0 = wall();
-  const auto plain = campaign::run_job_elastic(batch, machine, ranks_per_sim,
-                                               intervals, gyro::Mode::kReal,
-                                               opts);
+  const auto plain =
+      campaign::run_job_elastic(batch, machine, ranks_per_sim, job);
   const double plain_ms = wall() - t0;
 
   const fs::path dir = fs::temp_directory_path() / "xg_ckpt_overhead";
   fs::remove_all(dir);
-  opts.checkpoint_dir = dir.string();
-  opts.checkpoint_every = 1;
+  job.checkpoint_dir = dir.string();
   t0 = wall();
-  const auto ckpt_run = campaign::run_job_elastic(
-      batch, machine, ranks_per_sim, intervals, gyro::Mode::kReal, opts);
+  const auto ckpt_run =
+      campaign::run_job_elastic(batch, machine, ranks_per_sim, job);
   const double ckpt_ms = wall() - t0;
 
   // Bytes of the newest snapshot vs what checkpointing cmat would cost.

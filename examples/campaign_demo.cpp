@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", plan.describe().c_str());
 
   std::printf("executing on the simulated machine (model mode)...\n");
-  const auto result = campaign::run_campaign(spec, plan, gyro::Mode::kModel);
+  const auto result = campaign::run_campaign(spec, plan);
   std::printf("measured campaign cost: %.3f s per reporting step "
               "(predicted %.3f s)\n\n",
               result.total_report_seconds(), plan.predicted_total_seconds);
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     job.decomp = gyro::Decomposition::choose(base, job.ranks_per_sim, 1);
     sequential.jobs.push_back(job);
   }
-  const auto seq = campaign::run_campaign(spec, sequential, gyro::Mode::kModel);
+  const auto seq = campaign::run_campaign(spec, sequential);
   std::printf("sequential CGYRO baseline: %.3f s per reporting step -> "
               "campaign speedup %.2fx (paper: 1.5x)\n",
               seq.total_report_seconds(),

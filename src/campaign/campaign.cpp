@@ -1,11 +1,8 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
 #include <optional>
 
-#include "checkpoint/checkpoint.hpp"
 #include "cluster/memory.hpp"
 #include "perfmodel/perfmodel.hpp"
 #include "util/error.hpp"
@@ -118,40 +115,6 @@ std::string CampaignPlan::describe() const {
   return out;
 }
 
-CampaignResult run_campaign(const CampaignSpec& spec, const CampaignPlan& plan,
-                            gyro::Mode mode) {
-  CampaignResult result;
-  result.plan = plan;
-  for (size_t j = 0; j < plan.jobs.size(); ++j) {
-    const auto& job = plan.jobs[j];
-    xgyro::EnsembleInput batch;
-    for (const int m : job.member_indices) {
-      batch.members.push_back(spec.members.members[m]);
-    }
-    std::vector<gyro::Diagnostics> diags(batch.members.size());
-    std::mutex mu;
-    const auto run = mpi::run_simulation(
-        spec.machine, job.k() * job.ranks_per_sim, [&](mpi::Proc& proc) {
-          xgyro::EnsembleDriver driver(batch, job.decomp, proc, mode);
-          driver.initialize();
-          gyro::Diagnostics d;
-          for (int i = 0; i < spec.n_report_intervals; ++i) {
-            d = driver.advance_report_interval();
-          }
-          if (proc.world_rank() % job.decomp.nranks() == 0) {
-            const std::scoped_lock lock(mu);
-            diags[driver.sim_index()] = d;
-          }
-        });
-    result.job_runs.push_back(run);
-    for (size_t i = 0; i < batch.members.size(); ++i) {
-      result.members.push_back(
-          {job.member_indices[i], static_cast<int>(j), diags[i]});
-    }
-  }
-  return result;
-}
-
 namespace {
 
 /// Can `k` members at `ranks_per_sim` each run on `machine`? (Rank count,
@@ -208,163 +171,31 @@ JobAborted::JobAborted(std::string kind, std::string reason, int world_rank,
 
 ElasticJobResult run_job_elastic(const xgyro::EnsembleInput& batch,
                                  const net::MachineSpec& machine,
-                                 int ranks_per_sim, int n_report_intervals,
-                                 gyro::Mode mode, const RecoveryOptions& opts) {
+                                 int ranks_per_sim,
+                                 const xgyro::JobOptions& job,
+                                 const RecoveryOptions& recovery) {
   const int k = batch.n_sims();
-  XG_REQUIRE(k >= 1, "run_job_elastic: empty batch");
-  XG_REQUIRE(n_report_intervals >= 1,
-             "run_job_elastic: need at least one report interval");
-  XG_REQUIRE(opts.checkpoint_every >= 1,
-             "run_job_elastic: checkpoint_every must be >= 1");
-  XG_REQUIRE(!opts.cgyro_layout || k == 1,
-             "run_job_elastic: cgyro_layout needs a single-member batch");
-  const bool ckpt_enabled = !opts.checkpoint_dir.empty();
-  if (ckpt_enabled) {
-    XG_REQUIRE(mode == gyro::Mode::kReal,
-               "run_job_elastic: checkpointing requires real mode");
-  }
-
   ElasticJobResult out;
   out.machine = machine;
   out.ranks_per_sim = ranks_per_sim;
-  mpi::FaultPlan faults = opts.faults;
-  bool resume = opts.resume && ckpt_enabled;
-  int recoveries_left = opts.max_recoveries;
-  bool just_recovered = false;
+  xgyro::JobOptions attempt = job;
+  int recoveries_left = recovery.max_recoveries;
+  // The attempt just run is the one that followed the latest recovery.
+  const auto record_resume_point = [&out] {
+    if (!out.recoveries.empty()) {
+      out.recoveries.back().resumed_interval = out.resumed_interval;
+    }
+  };
 
   for (;;) {
-    // n_sims_sharing = k for the ensemble layout; the classic CGYRO layout
-    // has no ensemble-wide collision communicator.
-    const auto decomp = gyro::Decomposition::choose(
-        batch.members.front(), out.ranks_per_sim, opts.cgyro_layout ? 1 : k);
-    const int nranks = k * out.ranks_per_sim;
-
-    std::unique_ptr<ckpt::CheckpointWriter> writer;
-    if (ckpt_enabled) {
-      writer = std::make_unique<ckpt::CheckpointWriter>(opts.checkpoint_dir,
-                                                        nranks);
-    }
-    std::optional<ckpt::SnapshotRef> snapshot;
-    ckpt::Manifest manifest;
-    std::int64_t start_interval = 0;
-    if (resume) {
-      auto scan = ckpt::find_latest_valid(opts.checkpoint_dir);
-      out.snapshots_rejected += scan.rejected.size();
-      if (scan.latest_valid.has_value()) {
-        snapshot = scan.latest_valid;
-        manifest = ckpt::load_manifest(snapshot->path);
-        start_interval = manifest.interval < n_report_intervals
-                             ? manifest.interval
-                             : n_report_intervals;
-      }
-    }
-    if (just_recovered) {
-      out.recoveries.back().resumed_interval = start_interval;
-      just_recovered = false;
-    }
-
-    std::vector<gyro::Diagnostics> diags(static_cast<size_t>(k));
-    std::mutex mu;
-    mpi::RuntimeOptions ropts;
-    ropts.enable_trace = opts.enable_trace;
-    ropts.enable_traffic = opts.enable_traffic;
-    ropts.faults = faults;
-    ropts.check_invariants = opts.check_invariants;
-    ropts.coll_selector = opts.coll_selector;
-
+    std::optional<mpi::RankFailure> failure;
     try {
-      out.run = mpi::run_simulation(
-          out.machine, nranks,
-          [&](mpi::Proc& proc) {
-            std::unique_ptr<gyro::Simulation> cg_sim;
-            std::unique_ptr<xgyro::EnsembleDriver> driver;
-            gyro::Simulation* sim = nullptr;
-            int member = 0;
-            if (opts.cgyro_layout) {
-              auto layout = gyro::make_cgyro_layout(proc.world(), decomp);
-              cg_sim = std::make_unique<gyro::Simulation>(
-                  batch.members.front(), decomp, std::move(layout), proc,
-                  mode);
-              cg_sim->initialize();
-              sim = cg_sim.get();
-            } else {
-              driver = std::make_unique<xgyro::EnsembleDriver>(
-                  batch, decomp, proc, mode, opts.sharing);
-              driver->initialize();
-              sim = &driver->simulation();
-              member = driver->sim_index();
-            }
-            if (snapshot.has_value()) {
-              mpi::ScopedSpan span(proc, "checkpoint.restore");
-              ckpt::restore_rank(snapshot->path, manifest, *sim, member);
-            }
-            gyro::Diagnostics d;
-            if (start_interval >= n_report_intervals) {
-              // The snapshot already covers the whole run; recompute the
-              // reporting diagnostics from the restored state.
-              d = sim->diagnostics();
-            }
-            for (std::int64_t i = start_interval; i < n_report_intervals;
-                 ++i) {
-              d = driver != nullptr ? driver->advance_report_interval()
-                                    : sim->advance_report_interval();
-              if (writer != nullptr &&
-                  ((i + 1) % opts.checkpoint_every == 0 ||
-                   i + 1 == n_report_intervals)) {
-                mpi::ScopedSpan span(proc, "checkpoint.write");
-                ckpt::snapshot_rank(*writer, i + 1, *sim, member);
-              }
-            }
-            if (proc.world_rank() % decomp.nranks() == 0) {
-              const std::scoped_lock lock(mu);
-              diags[static_cast<size_t>(member)] = d;
-            }
-          },
-          ropts);
+      xgyro::execute_job(batch, recovery.layout, out.machine,
+                         out.ranks_per_sim, attempt, out);
     } catch (const mpi::RankFailure& e) {
-      if (writer != nullptr) {
-        out.snapshots_committed += writer->snapshots_committed();
-      }
-      const auto abort = [&](const char* reason) {
-        return JobAborted("rank_failure", reason, e.world_rank(),
-                          e.virtual_time_s(), e.phase(),
-                          std::move(out.recoveries), out.snapshots_committed,
-                          out.snapshots_rejected);
-      };
-      if (recoveries_left-- <= 0) throw abort("recovery budget exhausted");
-      RecoveryEvent ev;
-      ev.kind = "rank_failure";
-      ev.world_rank = e.world_rank();
-      ev.virtual_time_s = e.virtual_time_s();
-      ev.phase = e.phase();
-      ev.nodes_before = out.machine.n_nodes;
-      ev.ranks_per_sim_before = out.ranks_per_sim;
-      // The failed rank takes its node down with it; the simulated machine
-      // is homogeneous, so the surviving allocation is one node smaller.
-      if (out.machine.n_nodes <= 1) throw abort("no surviving nodes");
-      out.machine.n_nodes -= 1;
-      const int new_rps = replan_ranks_per_sim(
-          batch.members.front(), out.machine, k, out.ranks_per_sim);
-      if (new_rps == 0) {
-        // survivors cannot host even one rank/sim
-        throw abort("survivors cannot host the decomposition");
-      }
-      out.ranks_per_sim = new_rps;
-      ev.nodes_after = out.machine.n_nodes;
-      ev.ranks_per_sim_after = out.ranks_per_sim;
-      out.recoveries.push_back(std::move(ev));
-      // Strip only the fired rank's kill clauses: kills armed for other
-      // ranks stay live, so multi-kill plans keep firing across attempts.
-      // Clauses aimed at ranks beyond the shrunken job are dropped.
-      faults = faults.without_kill(e.world_rank())
-                   .pruned_to(k * out.ranks_per_sim);
-      resume = ckpt_enabled;
-      just_recovered = true;
-      continue;
+      failure = e;
     } catch (const mpi::DeadlockError& e) {
-      if (writer != nullptr) {
-        out.snapshots_committed += writer->snapshots_committed();
-      }
+      record_resume_point();
       // The DES is deterministic: a retry would replay the same deadlock.
       const auto& blocked = e.blocked();
       throw JobAborted("deadlock", "deadlocks are not retried",
@@ -374,35 +205,66 @@ ElasticJobResult run_job_elastic(const xgyro::EnsembleInput& batch,
                        std::move(out.recoveries), out.snapshots_committed,
                        out.snapshots_rejected);
     }
+    record_resume_point();
+    if (!failure.has_value()) return out;
 
-    if (writer != nullptr) {
-      out.snapshots_committed += writer->snapshots_committed();
+    const mpi::RankFailure& e = *failure;
+    const auto abort = [&](const char* reason) {
+      return JobAborted("rank_failure", reason, e.world_rank(),
+                        e.virtual_time_s(), e.phase(),
+                        std::move(out.recoveries), out.snapshots_committed,
+                        out.snapshots_rejected);
+    };
+    if (recoveries_left-- <= 0) throw abort("recovery budget exhausted");
+    RecoveryEvent ev;
+    ev.kind = "rank_failure";
+    ev.world_rank = e.world_rank();
+    ev.virtual_time_s = e.virtual_time_s();
+    ev.phase = e.phase();
+    ev.nodes_before = out.machine.n_nodes;
+    ev.ranks_per_sim_before = out.ranks_per_sim;
+    // The failed rank takes its node down with it; the simulated machine
+    // is homogeneous, so the surviving allocation is one node smaller.
+    if (out.machine.n_nodes <= 1) throw abort("no surviving nodes");
+    out.machine.n_nodes -= 1;
+    const int new_rps = replan_ranks_per_sim(
+        batch.members.front(), out.machine, k, out.ranks_per_sim);
+    if (new_rps == 0) {
+      // survivors cannot host even one rank/sim
+      throw abort("survivors cannot host the decomposition");
     }
-    out.diagnostics = std::move(diags);
-    return out;
+    out.ranks_per_sim = new_rps;
+    ev.nodes_after = out.machine.n_nodes;
+    ev.ranks_per_sim_after = out.ranks_per_sim;
+    out.recoveries.push_back(std::move(ev));
+    // Strip only the fired rank's kill clauses: kills armed for other
+    // ranks stay live, so multi-kill plans keep firing across attempts.
+    // Clauses aimed at ranks beyond the shrunken job are dropped.
+    attempt.faults = attempt.faults.without_kill(e.world_rank())
+                         .pruned_to(k * out.ranks_per_sim);
+    attempt.resume = true;
   }
 }
 
-CampaignResult run_campaign_elastic(const CampaignSpec& spec,
-                                    const CampaignPlan& plan, gyro::Mode mode,
-                                    const RecoveryOptions& opts) {
+CampaignResult run_campaign(const CampaignSpec& spec, const CampaignPlan& plan,
+                            const xgyro::JobOptions& job,
+                            const RecoveryOptions& recovery) {
   CampaignResult result;
   result.plan = plan;
   for (size_t j = 0; j < plan.jobs.size(); ++j) {
-    const auto& job = plan.jobs[j];
+    const auto& planned = plan.jobs[j];
     xgyro::EnsembleInput batch;
-    for (const int m : job.member_indices) {
+    for (const int m : planned.member_indices) {
       batch.members.push_back(spec.members.members[m]);
     }
-    RecoveryOptions jopts = opts;
-    if (!opts.checkpoint_dir.empty()) {
-      jopts.checkpoint_dir =
-          opts.checkpoint_dir + strprintf("/job-%zu", j);
+    xgyro::JobOptions jopts = job;
+    if (!job.checkpoint_dir.empty()) {
+      jopts.checkpoint_dir = job.checkpoint_dir + strprintf("/job-%zu", j);
     }
     ElasticJobResult r;
     try {
-      r = run_job_elastic(batch, spec.machine, job.ranks_per_sim,
-                          spec.n_report_intervals, mode, jopts);
+      r = run_job_elastic(batch, spec.machine, planned.ranks_per_sim, jopts,
+                          recovery);
     } catch (const JobAborted& e) {
       // Keep the failed job's recovery history and move on: the caller gets
       // a partial CampaignResult instead of losing the whole campaign.
@@ -426,7 +288,7 @@ CampaignResult run_campaign_elastic(const CampaignSpec& spec,
     result.job_runs.push_back(std::move(r.run));
     for (size_t i = 0; i < batch.members.size(); ++i) {
       result.members.push_back(
-          {job.member_indices[i], static_cast<int>(j), r.diagnostics[i]});
+          {planned.member_indices[i], static_cast<int>(j), r.diagnostics[i]});
     }
     for (auto& ev : r.recoveries) {
       ev.job = static_cast<int>(j);

@@ -17,6 +17,7 @@
 #include "gyro/simulation.hpp"
 #include "simnet/machine.hpp"
 #include "util/error.hpp"
+#include "xgyro/driver.hpp"
 #include "xgyro/ensemble.hpp"
 
 namespace xg::campaign {
@@ -24,7 +25,6 @@ namespace xg::campaign {
 struct CampaignSpec {
   xgyro::EnsembleInput members;  ///< every simulation the study needs
   net::MachineSpec machine;      ///< the fixed allocation to run on
-  int n_report_intervals = 1;
 };
 
 /// One scheduled job: a subset of members sharing cmat, run concurrently.
@@ -123,8 +123,6 @@ struct CampaignResult {
   CampaignPlan plan;
   std::vector<mpi::RunResult> job_runs;  ///< one DES result per completed job
   std::vector<MemberResult> members;     ///< diagnostics per completed member
-
-  // Elastic-executor accounting (empty/zero under plain run_campaign).
   std::vector<RecoveryEvent> recoveries;
   std::vector<JobFailure> failures;      ///< jobs the executor gave up on
   std::uint64_t snapshots_committed = 0;
@@ -138,33 +136,15 @@ struct CampaignResult {
   [[nodiscard]] double total_report_seconds() const;
 };
 
-/// Execute a plan job by job on the simulated machine.
-CampaignResult run_campaign(const CampaignSpec& spec, const CampaignPlan& plan,
-                            gyro::Mode mode);
-
-/// Knobs of the elastic executor (run_job_elastic / run_campaign_elastic).
+/// Knobs of the elastic executor (run_job_elastic / run_campaign); what
+/// each attempt runs is the job's xgyro::JobOptions.
 struct RecoveryOptions {
-  /// Snapshot directory; empty disables checkpointing (recovery then
-  /// restarts the job from scratch). run_campaign_elastic nests per-job
-  /// snapshots under <checkpoint_dir>/job-<j>.
-  std::string checkpoint_dir;
-  int checkpoint_every = 1;  ///< report intervals between snapshots
-  /// Recoveries allowed per job before the failure is rethrown. 0 makes
-  /// the elastic executor behave exactly like the plain one.
+  /// Recoveries allowed per job before the failure is rethrown. 0 turns a
+  /// rank failure into JobAborted at once.
   int max_recoveries = 3;
-  /// Restore from the newest valid snapshot before the first attempt (the
-  /// CLI --resume flag); recovery attempts always resume when they can.
-  bool resume = false;
-  mpi::FaultPlan faults;
-  bool check_invariants = true;
-  bool enable_trace = false;
-  bool enable_traffic = false;
-  /// Collective decision table for every attempt (nullptr = built-in tuned).
-  std::shared_ptr<const mpi::CollSelector> coll_selector;
-  xgyro::SharingPolicy sharing = xgyro::SharingPolicy::kSingleGroup;
-  /// Single-member jobs only: run the classic CGYRO layout instead of a
-  /// k = 1 ensemble layout (what xgyro_cli uses for --input runs).
-  bool cgyro_layout = false;
+  /// Communicator layout of every attempt. kCgyro (single-member jobs
+  /// only) is what xgyro_cli uses for --input runs.
+  xgyro::JobLayout layout = xgyro::JobLayout::kEnsemble;
 };
 
 /// Structured terminal failure of the elastic executor: thrown when the
@@ -206,40 +186,41 @@ class JobAborted : public Error {
   std::uint64_t snapshots_rejected_;
 };
 
-struct ElasticJobResult {
-  mpi::RunResult run;  ///< the final (successful) attempt
-  std::vector<gyro::Diagnostics> diagnostics;  ///< per batch member
+/// The final (successful) attempt's run and diagnostics, with the snapshot
+/// counters summed over every attempt.
+struct ElasticJobResult : xgyro::JobResult {
   std::vector<RecoveryEvent> recoveries;
-  std::uint64_t snapshots_committed = 0;
-  std::uint64_t snapshots_rejected = 0;
   net::MachineSpec machine;  ///< surviving allocation of the final attempt
   int ranks_per_sim = 0;     ///< decomposition of the final attempt
 };
 
-/// Run one job with elastic recovery: on RankFailure the failed rank's node
-/// is dropped from the allocation, the decomposition is replanned for the
-/// survivors (keeping the current ranks-per-sim when it still fits), the
-/// fired rank's kill clauses are stripped from the fault plan (kills armed
-/// for other ranks stay live and can fire in later attempts), and the job
-/// resumes from the newest valid snapshot (or from scratch without
-/// checkpointing). After max_recoveries failures — or when the survivors
-/// cannot host the job — a JobAborted carrying the partial accounting is
-/// thrown. A DeadlockError is thrown as JobAborted("deadlock") at once,
-/// without using recovery budget: the DES is deterministic, so a retry on
-/// the same allocation would replay the same deadlock.
+/// Run one job (xgyro::execute_job with `job`) with elastic recovery: on
+/// RankFailure the failed rank's node is dropped from the allocation, the
+/// decomposition is replanned for the survivors (keeping the current
+/// ranks-per-sim when it still fits), the fired rank's kill clauses are
+/// stripped from the fault plan (kills armed for other ranks stay live and
+/// can fire in later attempts), and the job resumes from the newest valid
+/// snapshot (or from scratch without a checkpoint_dir). After
+/// max_recoveries failures — or when the survivors cannot host the job — a
+/// JobAborted carrying the partial accounting is thrown. A DeadlockError is
+/// thrown as JobAborted("deadlock") at once, without using recovery budget:
+/// the DES is deterministic, so a retry on the same allocation would replay
+/// the same deadlock.
 ElasticJobResult run_job_elastic(const xgyro::EnsembleInput& batch,
                                  const net::MachineSpec& machine,
-                                 int ranks_per_sim, int n_report_intervals,
-                                 gyro::Mode mode,
-                                 const RecoveryOptions& opts = {});
+                                 int ranks_per_sim,
+                                 const xgyro::JobOptions& job,
+                                 const RecoveryOptions& recovery = {});
 
-/// run_campaign with per-job elastic recovery; recovery events and snapshot
-/// counters are aggregated into the CampaignResult. A job the executor
-/// gives up on (JobAborted) is recorded as a JobFailure — its recovery
-/// history is kept and the remaining jobs still run, so the caller gets a
-/// partial CampaignResult (check complete()) instead of a bare throw.
-CampaignResult run_campaign_elastic(const CampaignSpec& spec,
-                                    const CampaignPlan& plan, gyro::Mode mode,
-                                    const RecoveryOptions& opts);
+/// Execute a plan job by job on the simulated machine, each job through
+/// run_job_elastic at its planned ranks-per-sim; recovery events and
+/// snapshot counters are aggregated into the CampaignResult. With a
+/// checkpoint_dir, job j snapshots under <checkpoint_dir>/job-<j>. A job
+/// the executor gives up on (JobAborted) is recorded as a JobFailure — its
+/// recovery history is kept and the remaining jobs still run, so the caller
+/// gets a partial CampaignResult (check complete()) instead of a bare throw.
+CampaignResult run_campaign(const CampaignSpec& spec, const CampaignPlan& plan,
+                            const xgyro::JobOptions& job = {},
+                            const RecoveryOptions& recovery = {});
 
 }  // namespace xg::campaign

@@ -957,24 +957,24 @@ struct Engine {
       js.slice_ok = true;
       js.slice = std::move(r);
     } else {
-      RecoveryOptions ro;
+      xgyro::JobOptions jo;
+      jo.n_report_intervals = js.slice_target;
+      jo.mode = cfg.mode;
       if (sliced()) {
-        ro.checkpoint_dir =
+        jo.checkpoint_dir =
             cfg.checkpoint_root + strprintf("/job-%d", js.rec.id);
       }
-      ro.checkpoint_every = 1;
+      jo.resume = js.has_checkpoint;
+      jo.faults = js.faults;
+      jo.check_invariants = cfg.check_invariants;
+      jo.enable_traffic = !cfg.report_dir.empty();
+      jo.coll_selector = cfg.coll_selector;
+      RecoveryOptions ro;
       ro.max_recoveries = js.recoveries_left;
-      ro.resume = js.has_checkpoint;
-      ro.faults = js.faults;
-      ro.check_invariants = cfg.check_invariants;
-      ro.enable_traffic = !cfg.report_dir.empty();
-      ro.coll_selector = cfg.coll_selector;
-      ro.sharing = xgyro::SharingPolicy::kSingleGroup;
 
       try {
-        ElasticJobResult r =
-            run_job_elastic(js.batch, js.machine, js.rec.ranks_per_sim,
-                            js.slice_target, cfg.mode, ro);
+        ElasticJobResult r = run_job_elastic(
+            js.batch, js.machine, js.rec.ranks_per_sim, jo, ro);
         duration = r.run.makespan_s;
         js.slice_ok = true;
         js.slice = std::move(r);

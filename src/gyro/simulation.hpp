@@ -100,9 +100,9 @@ class Simulation {
   /// This rank's cmat slice (valid after initialize()).
   [[nodiscard]] const collision::CollisionTensor& cmat() const { return *cmat_; }
 
-  // --- restart support (see gyro/restart.hpp) -------------------------------
+  // --- checkpoint support (see checkpoint/checkpoint.hpp) ------------------
   /// Raw view of this rank's state slice in the streaming layout. Real mode
-  /// only (model mode carries no data). Used by the restart reader/writer.
+  /// only (model mode carries no data). Used by the snapshot writer/reader.
   [[nodiscard]] std::span<const cplx> state_data() const { return h_.data(); }
   [[nodiscard]] std::span<cplx> state_data_mutable() { return h_.data(); }
   /// Restore the step counter when resuming from a checkpoint.

@@ -1,8 +1,15 @@
-// Job-level drivers: run a CGYRO simulation or an XGYRO ensemble as one
-// simulated HPC job and return the timing/traffic result. These are the
-// entry points the benchmarks and examples use to reproduce the paper's
-// measurements.
+// Job execution: every simulated HPC job runs through one solver rank body.
+// A CGYRO run is the k = 1 case on the classic layout; an XGYRO ensemble
+// runs its k members on the shared-cmat layout. The body builds the layout,
+// initializes, restores the newest snapshot when resuming, steps the report
+// intervals with optional periodic snapshots, and collects each member's
+// diagnostics. run_cgyro_job / run_xgyro_job are the entry points the
+// benchmarks and examples use to reproduce the paper's measurements; the
+// campaign layer's elastic executor wraps the same body in its recovery loop.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "gyro/simulation.hpp"
 #include "simmpi/runtime.hpp"
@@ -21,6 +28,9 @@ struct JobOptions {
   mpi::FaultPlan faults;
   /// Per-collective invariant checking (member agreement); on by default.
   bool check_invariants = true;
+  /// How the ensemble layout maps members onto shared tensors (the CGYRO
+  /// layout has a single member and ignores it).
+  SharingPolicy sharing = SharingPolicy::kSingleGroup;
   /// Periodic elastic snapshots (see src/checkpoint): empty disables. Real
   /// mode only — model mode carries no restorable state.
   std::string checkpoint_dir;
@@ -36,6 +46,30 @@ struct JobOptions {
   /// a table loaded via telemetry::load_coll_table.
   std::shared_ptr<const mpi::CollSelector> coll_selector;
 };
+
+/// Communicator layout of a job.
+enum class JobLayout {
+  kCgyro,     ///< classic CGYRO: a single member on its own communicators
+  kEnsemble,  ///< XGYRO: k members sharing cmat over all k·pv collision ranks
+};
+
+struct JobResult {
+  mpi::RunResult run;
+  std::vector<gyro::Diagnostics> diagnostics;  ///< per batch member
+  std::int64_t resumed_interval = 0;  ///< interval restored from (0 = fresh)
+  std::uint64_t snapshots_committed = 0;
+  std::uint64_t snapshots_rejected = 0;  ///< corrupt snapshots skipped
+};
+
+/// The solver rank body: run `batch` on batch.n_sims() × ranks_per_sim
+/// ranks of `machine` in `layout` (kCgyro needs a single member). Runtime
+/// failures (RankFailure, DeadlockError) propagate unchanged. `out` is
+/// filled in place — resumed_interval before stepping, run and diagnostics
+/// on success — and the snapshot counters are added to, also when the run
+/// throws, so a retry loop keeps the accounting of its failed attempts.
+void execute_job(const EnsembleInput& batch, JobLayout layout,
+                 const net::MachineSpec& machine, int ranks_per_sim,
+                 const JobOptions& options, JobResult& out);
 
 /// One CGYRO job: a single simulation on `nranks` ranks of `machine`
 /// (paper baseline: each nl03c variant runs alone on all 32 nodes).

@@ -15,6 +15,12 @@ namespace {
 using gyro::Input;
 using gyro::Mode;
 
+xgyro::JobOptions job_in(Mode mode) {
+  xgyro::JobOptions job;
+  job.mode = mode;
+  return job;
+}
+
 CampaignSpec small_spec(int k, int nodes, int rpn) {
   CampaignSpec spec;
   spec.members = xgyro::EnsembleInput::sweep(
@@ -95,7 +101,7 @@ TEST(Planner, MixedGroupsPlannedIndependently) {
 TEST(Executor, RunsPlanAndReportsEveryMember) {
   const auto spec = small_spec(4, 2, 8);
   const auto plan = plan_campaign(spec);
-  const auto result = run_campaign(spec, plan, Mode::kReal);
+  const auto result = run_campaign(spec, plan, job_in(Mode::kReal));
   ASSERT_EQ(result.members.size(), 4u);
   ASSERT_EQ(result.job_runs.size(), plan.jobs.size());
   for (const auto& m : result.members) {
@@ -120,7 +126,7 @@ TEST(Executor, BatchedCampaignBeatsSequentialOnFrontier) {
   spec.machine = net::testbox(8, 4);  // 32 ranks, CGYRO pv=8 spans 2 nodes
 
   const auto plan = plan_campaign(spec);
-  const auto batched = run_campaign(spec, plan, Mode::kModel);
+  const auto batched = run_campaign(spec, plan, job_in(Mode::kModel));
 
   CampaignPlan sequential;
   for (int m = 0; m < 4; ++m) {
@@ -130,7 +136,7 @@ TEST(Executor, BatchedCampaignBeatsSequentialOnFrontier) {
     job.decomp = gyro::Decomposition::choose(base, job.ranks_per_sim, 1);
     sequential.jobs.push_back(job);
   }
-  const auto seq = run_campaign(spec, sequential, Mode::kModel);
+  const auto seq = run_campaign(spec, sequential, job_in(Mode::kModel));
 
   EXPECT_LT(batched.total_report_seconds(), seq.total_report_seconds());
 }
@@ -155,20 +161,21 @@ TEST(Executor, RecoveryExhaustionYieldsPartialResultWithHistory) {
 
   // Calibrate against a clean run: kills fire mid-heavy-job, after the
   // light job would already be done.
-  const auto clean = run_campaign(spec, plan, Mode::kReal);
+  const auto clean = run_campaign(spec, plan, job_in(Mode::kReal));
   const double t_heavy = clean.job_runs[heavy_job].makespan_s;
   const double t_light = clean.job_runs[1 - heavy_job].makespan_s;
   ASSERT_GT(t_heavy, 1.2 * t_light);
   const double t_kill = 0.5 * (t_heavy + t_light);
 
-  RecoveryOptions opts;
-  opts.max_recoveries = 1;
-  opts.faults.add_kill(0, t_kill);
+  xgyro::JobOptions job = job_in(Mode::kReal);
+  job.faults.add_kill(0, t_kill);
   // Armed for the retry: after the first recovery drops rank 0's node the
   // survivors replan (slower), so this fires in the second attempt and
   // exhausts the budget.
-  opts.faults.add_kill(1, t_kill * 1.01);
-  const auto res = run_campaign_elastic(spec, plan, Mode::kReal, opts);
+  job.faults.add_kill(1, t_kill * 1.01);
+  RecoveryOptions rec;
+  rec.max_recoveries = 1;
+  const auto res = run_campaign(spec, plan, job, rec);
 
   EXPECT_FALSE(res.complete());
   ASSERT_EQ(res.failures.size(), 1u);

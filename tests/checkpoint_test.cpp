@@ -3,6 +3,9 @@
 //    2N-step run, across different decompositions and ensemble sizes;
 //  * truncated and bit-flipped shards are rejected with a structured error
 //    and find_latest_valid falls back to the previous valid snapshot;
+//  * the job body resumes from its own snapshots bit-identically, refuses
+//    to snapshot in model mode, refuses a snapshot of other physics, and
+//    skips damaged snapshots;
 //  * the elastic executor survives an injected rank kill, replans on the
 //    surviving nodes, and reproduces the fault-free physics.
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include "simmpi/runtime.hpp"
 #include "simnet/machine.hpp"
 #include "util/error.hpp"
+#include "xgyro/driver.hpp"
 #include "xgyro/ensemble.hpp"
 
 namespace xg::ckpt {
@@ -324,6 +328,176 @@ TEST(CheckpointRoundTrip, EnsembleWriteStandaloneRestore) {
 }
 
 // ---------------------------------------------------------------------------
+// Snapshot and resume through the job body
+
+xgyro::JobOptions real_job(int n_intervals) {
+  xgyro::JobOptions job;
+  job.n_report_intervals = n_intervals;
+  job.mode = Mode::kReal;
+  return job;
+}
+
+/// One CGYRO-layout job through the solver rank body.
+xgyro::JobResult run_body(const Input& in, int nranks,
+                          const xgyro::JobOptions& job) {
+  xgyro::JobResult out;
+  xgyro::execute_job(xgyro::EnsembleInput{{in}}, xgyro::JobLayout::kCgyro,
+                     net::testbox(1, nranks), nranks, job, out);
+  return out;
+}
+
+/// State hash of the newest snapshot in `dir`, restored onto one rank.
+std::uint64_t snapshot_state_hash(const Input& in, const std::string& dir) {
+  const auto scan = find_latest_valid(dir);
+  if (!scan.latest_valid.has_value()) {
+    ADD_FAILURE() << "no valid snapshot in " << dir;
+    return 0;
+  }
+  const auto manifest = load_manifest(scan.latest_valid->path);
+  std::uint64_t hash = 0;
+  const auto d1 = Decomposition::choose(in, 1);
+  mpi::run_simulation(net::testbox(1, 1), 1, [&](mpi::Proc& p) {
+    auto layout = gyro::make_cgyro_layout(p.world(), d1);
+    Simulation sim(in, d1, std::move(layout), p, Mode::kReal);
+    sim.initialize();
+    restore_rank(scan.latest_valid->path, manifest, sim, 0);
+    hash = sim.state_hash();
+  });
+  return hash;
+}
+
+class ResumeRanks : public ::testing::TestWithParam<int> {};
+
+TEST_P(ResumeRanks, ResumedRunIsBitIdenticalToUninterrupted) {
+  const int nranks = GetParam();
+  Input in = Input::small_test(2);
+  in.n_steps_per_report = 5;
+  constexpr int kN = 1;
+
+  // N intervals with snapshots, then resume the same directory to 2N.
+  const TempDir dir("resume_" + std::to_string(nranks));
+  xgyro::JobOptions job = real_job(kN);
+  job.checkpoint_dir = dir.path;
+  run_body(in, nranks, job);
+  job.n_report_intervals = 2 * kN;
+  job.resume = true;
+  const auto resumed = run_body(in, nranks, job);
+  EXPECT_EQ(resumed.resumed_interval, kN);
+
+  // Uninterrupted 2N run, also through the body.
+  const TempDir ref_dir("resume_ref_" + std::to_string(nranks));
+  xgyro::JobOptions ref_job = real_job(2 * kN);
+  ref_job.checkpoint_dir = ref_dir.path;
+  const auto direct = run_body(in, nranks, ref_job);
+  EXPECT_EQ(direct.resumed_interval, 0);
+
+  const auto hash = snapshot_state_hash(in, dir.path);
+  EXPECT_EQ(hash, snapshot_state_hash(in, ref_dir.path));
+  EXPECT_EQ(hash, run_uninterrupted(in, nranks, 2 * kN).first);
+  ASSERT_EQ(resumed.diagnostics.size(), 1u);
+  EXPECT_EQ(resumed.diagnostics[0].steps, 2 * kN * in.n_steps_per_report);
+  EXPECT_EQ(resumed.diagnostics[0].steps, direct.diagnostics[0].steps);
+  EXPECT_EQ(resumed.diagnostics[0].phi_rms, direct.diagnostics[0].phi_rms);
+  EXPECT_EQ(resumed.diagnostics[0].flux_proxy,
+            direct.diagnostics[0].flux_proxy);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, ResumeRanks, ::testing::Values(1, 2, 4));
+
+TEST(CheckpointJob, ModelModeRejected) {
+  // Model mode carries no restorable state: the body refuses to snapshot.
+  const TempDir dir("model_mode");
+  xgyro::JobOptions job;
+  job.mode = Mode::kModel;
+  job.checkpoint_dir = dir.path;
+  EXPECT_THROW(run_body(Input::small_test(2), 1, job), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Resuming through the job body from a foreign or damaged snapshot
+
+Input resume_input() {
+  Input in = Input::small_test(2);
+  in.n_steps_per_report = 5;
+  return in;
+}
+
+/// Run `n_intervals` through the body, snapshotting every interval into `dir`.
+void snapshot_run(const Input& in, const std::string& dir, int n_intervals) {
+  xgyro::JobOptions job = real_job(n_intervals);
+  job.checkpoint_dir = dir;
+  run_body(in, 1, job);
+}
+
+/// Resume `dir` through the body and run to `n_intervals`.
+xgyro::JobResult resume_run(const Input& in, const std::string& dir,
+                            int n_intervals) {
+  xgyro::JobOptions job = real_job(n_intervals);
+  job.checkpoint_dir = dir;
+  job.resume = true;
+  return run_body(in, 1, job);
+}
+
+/// First shard file of snapshot `interval` in `dir`.
+fs::path first_shard(const std::string& dir, std::int64_t interval) {
+  for (const auto& e :
+       fs::directory_iterator(fs::path(dir) / snapshot_dirname(interval))) {
+    if (e.path().extension() == ".shard") return e.path();
+  }
+  ADD_FAILURE() << "no shard in snapshot " << interval << " of " << dir;
+  return {};
+}
+
+TEST(Restart, PhysicsMismatchRejected) {
+  // A snapshot of one physics case must not seed a run of another: the cmat
+  // fingerprint stored in every shard refuses the restore.
+  const Input in = resume_input();
+  const TempDir dir("restart_phys");
+  snapshot_run(in, dir.path, 1);
+  Input other = in;
+  other.collision.nu_ee *= 2.0;  // cmat-relevant change
+  EXPECT_THROW(resume_run(other, dir.path, 2), Error);
+}
+
+TEST(Restart, TruncatedFileRejected) {
+  // The truncated newest snapshot is skipped and counted; the body resumes
+  // from the older valid one and still matches an uninterrupted run.
+  const Input in = resume_input();
+  const TempDir dir("restart_trunc");
+  snapshot_run(in, dir.path, 2);
+  const fs::path shard = first_shard(dir.path, 2);
+  fs::resize_file(shard, fs::file_size(shard) - 8);
+  const auto resumed = resume_run(in, dir.path, 3);
+  EXPECT_EQ(resumed.snapshots_rejected, 1u);
+  EXPECT_EQ(resumed.resumed_interval, 1);
+  EXPECT_EQ(snapshot_state_hash(in, dir.path),
+            run_uninterrupted(in, 1, 3).first);
+}
+
+TEST(Restart, CorruptPayloadRejectedByHash) {
+  // One flipped payload bit fails the shard's payload hash: the only
+  // snapshot is rejected and the body starts from scratch.
+  const Input in = resume_input();
+  const TempDir dir("restart_corrupt");
+  snapshot_run(in, dir.path, 1);
+  {
+    std::fstream f(first_shard(dir.path, 1),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(70);  // inside the payload, past the 64-byte header
+    char c = 0;
+    f.read(&c, 1);
+    c = static_cast<char>(c ^ 0x40);
+    f.seekp(70);
+    f.write(&c, 1);
+  }
+  const auto resumed = resume_run(in, dir.path, 2);
+  EXPECT_EQ(resumed.snapshots_rejected, 1u);
+  EXPECT_EQ(resumed.resumed_interval, 0);
+  EXPECT_EQ(snapshot_state_hash(in, dir.path),
+            run_uninterrupted(in, 1, 2).first);
+}
+
+// ---------------------------------------------------------------------------
 // Elastic recovery
 
 TEST(ElasticRecovery, SpareNodeKeepsPhysicsBitIdentical) {
@@ -338,20 +512,18 @@ TEST(ElasticRecovery, SpareNodeKeepsPhysicsBitIdentical) {
   // bit-for-bit).
   const auto machine = net::testbox(4, 2);
 
-  campaign::RecoveryOptions opts;
-  const auto clean =
-      campaign::run_job_elastic(batch, machine, 2, 4, Mode::kReal, opts);
+  xgyro::JobOptions job = real_job(4);
+  const auto clean = campaign::run_job_elastic(batch, machine, 2, job);
   ASSERT_EQ(clean.diagnostics.size(), 2u);
   EXPECT_TRUE(clean.recoveries.empty());
 
   const TempDir dir("elastic_spare");
-  opts.checkpoint_dir = dir.path;
-  opts.faults.seed = 11;
+  job.checkpoint_dir = dir.path;
+  job.faults.seed = 11;
   // Late enough that at least one snapshot has committed, so the recovery
   // resumes instead of restarting from scratch.
-  opts.faults.add_kill(1, 0.75 * clean.run.makespan_s);
-  const auto faulty =
-      campaign::run_job_elastic(batch, machine, 2, 4, Mode::kReal, opts);
+  job.faults.add_kill(1, 0.75 * clean.run.makespan_s);
+  const auto faulty = campaign::run_job_elastic(batch, machine, 2, job);
 
   ASSERT_EQ(faulty.recoveries.size(), 1u);
   const auto& ev = faulty.recoveries.front();
@@ -380,17 +552,16 @@ TEST(ElasticRecovery, ShrinkReplansToFewerRanksPerSim) {
   // decomposition for the survivor.
   const auto machine = net::testbox(2, 2);
 
-  campaign::RecoveryOptions opts;
-  opts.cgyro_layout = true;
-  const auto clean =
-      campaign::run_job_elastic(batch, machine, 4, 4, Mode::kReal, opts);
+  xgyro::JobOptions job = real_job(4);
+  campaign::RecoveryOptions rec;
+  rec.layout = xgyro::JobLayout::kCgyro;
+  const auto clean = campaign::run_job_elastic(batch, machine, 4, job, rec);
 
   const TempDir dir("elastic_shrink");
-  opts.checkpoint_dir = dir.path;
-  opts.faults.seed = 5;
-  opts.faults.add_kill(2, 0.75 * clean.run.makespan_s);
-  const auto faulty =
-      campaign::run_job_elastic(batch, machine, 4, 4, Mode::kReal, opts);
+  job.checkpoint_dir = dir.path;
+  job.faults.seed = 5;
+  job.faults.add_kill(2, 0.75 * clean.run.makespan_s);
+  const auto faulty = campaign::run_job_elastic(batch, machine, 4, job, rec);
 
   ASSERT_EQ(faulty.recoveries.size(), 1u);
   EXPECT_LT(faulty.recoveries.front().ranks_per_sim_after, 4);
@@ -410,16 +581,15 @@ TEST(ElasticRecovery, ResumeSkipsCompletedIntervals) {
   const auto machine = net::testbox(1, 2);
 
   const TempDir dir("elastic_resume");
-  campaign::RecoveryOptions opts;
-  opts.cgyro_layout = true;
-  opts.checkpoint_dir = dir.path;
-  const auto first =
-      campaign::run_job_elastic(batch, machine, 2, 2, Mode::kReal, opts);
+  xgyro::JobOptions job = real_job(2);
+  job.checkpoint_dir = dir.path;
+  campaign::RecoveryOptions rec;
+  rec.layout = xgyro::JobLayout::kCgyro;
+  const auto first = campaign::run_job_elastic(batch, machine, 2, job, rec);
   EXPECT_GT(first.snapshots_committed, 0u);
 
-  opts.resume = true;
-  const auto second =
-      campaign::run_job_elastic(batch, machine, 2, 2, Mode::kReal, opts);
+  job.resume = true;
+  const auto second = campaign::run_job_elastic(batch, machine, 2, job, rec);
   // Everything was already done: no new snapshots, same diagnostics.
   EXPECT_EQ(second.snapshots_committed, 0u);
   EXPECT_EQ(second.diagnostics[0].steps, first.diagnostics[0].steps);
@@ -430,14 +600,14 @@ TEST(ElasticRecovery, ExhaustedRecoveriesRaiseStructuredAbort) {
   const Input in = Input::small_test(1);
   xgyro::EnsembleInput batch;
   batch.members.push_back(in);
-  campaign::RecoveryOptions opts;
-  opts.cgyro_layout = true;
-  opts.max_recoveries = 0;
-  opts.faults.seed = 1;
-  opts.faults.add_kill(0, 1e-9);
+  xgyro::JobOptions job = real_job(1);
+  job.faults.seed = 1;
+  job.faults.add_kill(0, 1e-9);
+  campaign::RecoveryOptions rec;
+  rec.layout = xgyro::JobLayout::kCgyro;
+  rec.max_recoveries = 0;
   try {
-    campaign::run_job_elastic(batch, net::testbox(2, 2), 2, 1, Mode::kReal,
-                              opts);
+    campaign::run_job_elastic(batch, net::testbox(2, 2), 2, job, rec);
     FAIL() << "expected JobAborted";
   } catch (const campaign::JobAborted& e) {
     EXPECT_EQ(e.kind(), "rank_failure");

@@ -64,9 +64,12 @@ gyro::Diagnostics standalone_diagnostics(const gyro::Input& input,
                                          int ranks_per_sim, int intervals) {
   xgyro::EnsembleInput single;
   single.members.push_back(input);
+  xgyro::JobOptions job;
+  job.n_report_intervals = intervals;
+  job.mode = gyro::Mode::kReal;
   const auto res =
       run_job_elastic(single, net::testbox(1, ranks_per_sim), ranks_per_sim,
-                      intervals, gyro::Mode::kReal, {});
+                      job);
   return res.diagnostics.at(0);
 }
 
