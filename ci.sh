@@ -2,7 +2,9 @@
 # ci.sh — the full local gate, in the order a reviewer would run it:
 #
 #   1. default preset build + complete ctest tier-1 suite
-#   2. address+UB-sanitized preset build (compile-time gate)
+#   2. address+UB-sanitized preset build, then the simmpi, coll, fault and
+#      perfmodel tests (the runtime, its collective schedules and the
+#      pricer) run under it
 #   3. thread-sanitized runtime tests (simmpi_test, fault_test, coll_test
 #      built with -fsanitize=thread and run; any data-race report fails)
 #   4. end-to-end determinism check (identical-seed runs bitwise equal)
@@ -38,9 +40,10 @@ cmake --preset default
 cmake --build --preset default -j "$JOBS"
 ctest --preset default
 
-echo "=== [2/10] sanitized build ==="
+echo "=== [2/10] sanitized build + runtime tests ==="
 cmake --preset sanitize
 cmake --build --preset sanitize -j "$JOBS"
+ctest --preset sanitize -L '^(simmpi_test|coll_test|fault_test|perfmodel_test)$'
 
 echo "=== [3/10] thread-sanitized runtime tests ==="
 cmake --preset tsan

@@ -4,8 +4,9 @@
 //
 //   $ ./examples/capacity_planner [n_sims] [nodes]
 //
-// Uses the closed-form performance model (instant; the fig2_breakdown bench
-// runs the discrete-event simulation for the same question).
+// Uses the perfmodel estimate (instant: collectives are priced by replaying
+// their schedules, no rank threads; the fig2_breakdown bench runs the
+// discrete-event simulation for the same question).
 #include <cstdio>
 #include <cstdlib>
 

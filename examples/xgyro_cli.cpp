@@ -22,8 +22,6 @@
 // Exit status: 0 success (including recovered runs); 1 usage, input, or
 // configuration error; 2 structured failure (RankFailure / DeadlockError)
 // that was not recovered.
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,6 +44,7 @@
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/strings.hpp"
 #include "xgyro/driver.hpp"
 #include "xgyro/ensemble.hpp"
 
@@ -76,32 +75,6 @@ struct Options {
   std::string coll_select;  // "" = tuned
   std::string coll_table;
 };
-
-/// Strict numeric parsing: the whole value must be a number in range.
-/// (std::stoi would accept "4x" and throw std::invalid_argument — an
-/// uncaught exception class — on "abc".)
-int parse_int(const std::string& flag, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
-      v < INT_MIN || v > INT_MAX) {
-    throw xg::InputError(xg::strprintf("%s: '%s' is not an integer",
-                                       flag.c_str(), value.c_str()));
-  }
-  return static_cast<int>(v);
-}
-
-double parse_double(const std::string& flag, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    throw xg::InputError(xg::strprintf("%s: '%s' is not a number",
-                                       flag.c_str(), value.c_str()));
-  }
-  return v;
-}
 
 void print_help() {
   std::printf(
@@ -145,7 +118,7 @@ void print_help() {
       "                      per-phase wait/work decomposition (embedded in\n"
       "                      --report / --metrics-out artifacts too)\n"
       "  --perfmodel-check   compare measured per-phase costs against the\n"
-      "                      closed-form perfmodel prediction; a divergence\n"
+      "                      perfmodel prediction; a divergence\n"
       "                      beyond tolerance exits 1\n"
       "  --perfmodel-tol X   divergence gate ratio bound [3.0]\n"
       "  --help              print this reference and exit\n"
@@ -184,16 +157,16 @@ Options parse_args(int argc, char** argv) {
       o.manifest = need_value(i++);
     } else if (a == "--ranks") {
       once(a);
-      o.ranks = parse_int(a, need_value(i++));
+      o.ranks = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--ranks-per-sim") {
       once(a);
-      o.ranks_per_sim = parse_int(a, need_value(i++));
+      o.ranks_per_sim = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--nodes") {
       once(a);
-      o.nodes = parse_int(a, need_value(i++));
+      o.nodes = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--intervals") {
       once(a);
-      o.intervals = parse_int(a, need_value(i++));
+      o.intervals = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--timing-out") {
       once(a);
       o.timing_out = need_value(i++);
@@ -214,10 +187,10 @@ Options parse_args(int argc, char** argv) {
       o.checkpoint_dir = need_value(i++);
     } else if (a == "--checkpoint-every") {
       once(a);
-      o.checkpoint_every = parse_int(a, need_value(i++));
+      o.checkpoint_every = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--max-recoveries") {
       once(a);
-      o.max_recoveries = parse_int(a, need_value(i++));
+      o.max_recoveries = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--resume") {
       once(a);
       o.resume = true;
@@ -241,7 +214,7 @@ Options parse_args(int argc, char** argv) {
       o.perfmodel_check = true;
     } else if (a == "--perfmodel-tol") {
       once(a);
-      o.perfmodel_tol = parse_double(a, need_value(i++));
+      o.perfmodel_tol = xg::parse_flag_double(a, need_value(i++));
     } else if (a == "--mode") {
       once(a);
       const std::string m = need_value(i++);
@@ -461,7 +434,7 @@ int main(int argc, char** argv) {
     telemetry::Json divergence_doc;  // null unless --perfmodel-check ran
     bool divergence_failed = false;
     if (opt.perfmodel_check) {
-      // Replay the closed-form prediction for the *initial* configuration;
+      // Replay the perfmodel prediction for the *initial* configuration;
       // an elastic run that replanned onto a different layout is expected
       // to diverge from it.
       const gyro::Input& analysis_input = batch.members.front();

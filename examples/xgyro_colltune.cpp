@@ -1,10 +1,12 @@
-// xgyro_colltune — DES-driven autotuner for the collective decision table.
+// xgyro_colltune — autotuner for the collective decision table.
 //
 // For every (collective kind, payload bucket, participant bucket) cell it
-// runs each selectable algorithm through the discrete-event simulator on a
-// Frontier-like machine sized to the participant count, takes the argmin
-// makespan, and emits the winners as an xgyro.coll_table JSON document that
-// `xgyro_cli --coll-table` (and RuntimeOptions::coll_selector) consume:
+// prices each selectable algorithm with mpi::price_collective on a
+// Frontier-like machine sized to the participant count — the makespan the
+// discrete-event simulator charges for that call, without running it —
+// takes the argmin, and emits the winners as an xgyro.coll_table JSON
+// document that `xgyro_cli --coll-table` (and RuntimeOptions::coll_selector)
+// consume:
 //
 //   ./examples/xgyro_colltune --out my_table.json
 //   ./examples/xgyro_cli --ensemble ... --coll-table my_table.json
@@ -18,12 +20,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "simmpi/coll.hpp"
-#include "simmpi/comm.hpp"
-#include "simmpi/runtime.hpp"
 #include "simnet/machine.hpp"
 #include "telemetry/colltable.hpp"
 #include "util/error.hpp"
@@ -68,28 +69,15 @@ Options parse_args(int argc, char** argv) {
   return o;
 }
 
-/// DES makespan of one collective instance run with `alg`.
+/// Makespan of one collective instance run with `alg` on a world of
+/// `participants` ranks.
 double time_alg(Kind kind, CollAlg alg, int participants,
                 std::uint64_t bytes) {
-  const auto spec =
-      xg::net::frontier_like((participants + 7) / 8);  // 8 ranks/node
-  const auto res = xg::mpi::run_simulation(
-      spec, participants, [&](xg::mpi::Proc& proc) {
-        switch (kind) {
-          case Kind::kAllReduce:
-            proc.world().allreduce_virtual(bytes, alg);
-            break;
-          case Kind::kAllGather:
-            proc.world().allgather_virtual(bytes, alg);
-            break;
-          case Kind::kAllToAll:
-            proc.world().alltoall_virtual(bytes, alg);
-            break;
-          default:
-            throw xg::InputError("colltune: unsupported kind");
-        }
-      });
-  return res.makespan_s;
+  const xg::net::Placement place(
+      xg::net::frontier_like((participants + 7) / 8));  // 8 ranks/node
+  std::vector<int> world(static_cast<size_t>(participants));
+  std::iota(world.begin(), world.end(), 0);
+  return xg::mpi::price_collective(place, world, kind, bytes, alg);
 }
 
 struct Cell {

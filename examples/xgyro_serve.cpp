@@ -14,7 +14,6 @@
 //   0  every admitted request completed (rejections are not errors)
 //   1  usage, input, or configuration error
 //   2  at least one admitted request failed (recovery budget exhausted)
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,6 +29,7 @@
 #include "telemetry/json.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -61,29 +61,6 @@ struct Options {
   bool backfill = false;
   bool window_auto = false;
 };
-
-int parse_int(const std::string& flag, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
-      v < INT_MIN || v > INT_MAX) {
-    throw xg::InputError(xg::strprintf("%s: '%s' is not an integer",
-                                       flag.c_str(), value.c_str()));
-  }
-  return static_cast<int>(v);
-}
-
-double parse_double(const std::string& flag, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    throw xg::InputError(xg::strprintf("%s: '%s' is not a number",
-                                       flag.c_str(), value.c_str()));
-  }
-  return v;
-}
 
 void print_help() {
   std::printf(
@@ -160,43 +137,43 @@ Options parse_args(int argc, char** argv) {
       o.gen = need_value(i++);
     } else if (a == "--nodes") {
       once(a);
-      o.nodes = parse_int(a, need_value(i++));
+      o.nodes = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--ranks-per-node") {
       once(a);
-      o.ranks_per_node = parse_int(a, need_value(i++));
+      o.ranks_per_node = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--window") {
       once(a);
-      o.window_s = parse_double(a, need_value(i++));
+      o.window_s = xg::parse_flag_double(a, need_value(i++));
     } else if (a == "--max-batch") {
       once(a);
-      o.max_batch = parse_int(a, need_value(i++));
+      o.max_batch = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--no-batching") {
       once(a);
       o.batching = false;
     } else if (a == "--queue-depth") {
       once(a);
-      o.queue_depth = parse_int(a, need_value(i++));
+      o.queue_depth = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--tenant-quota") {
       once(a);
-      o.tenant_quota = parse_int(a, need_value(i++));
+      o.tenant_quota = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--intervals") {
       once(a);
-      o.intervals = parse_int(a, need_value(i++));
+      o.intervals = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--mode") {
       once(a);
       o.mode = need_value(i++);
     } else if (a == "--nodes-per-job") {
       once(a);
-      o.nodes_per_job = parse_int(a, need_value(i++));
+      o.nodes_per_job = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--checkpoint-dir") {
       once(a);
       o.checkpoint_dir = need_value(i++);
     } else if (a == "--quantum") {
       once(a);
-      o.quantum = parse_int(a, need_value(i++));
+      o.quantum = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--max-recoveries") {
       once(a);
-      o.max_recoveries = parse_int(a, need_value(i++));
+      o.max_recoveries = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--report") {
       once(a);
       o.report_out = need_value(i++);
@@ -211,7 +188,7 @@ Options parse_args(int argc, char** argv) {
       o.events_out = need_value(i++);
     } else if (a == "--metrics-every") {
       once(a);
-      o.metrics_every = parse_double(a, need_value(i++));
+      o.metrics_every = xg::parse_flag_double(a, need_value(i++));
     } else if (a == "--slo") {
       once(a);
       o.slo = need_value(i++);
@@ -220,11 +197,11 @@ Options parse_args(int argc, char** argv) {
       o.fast_path = true;
     } else if (a == "--audit-frac") {
       once(a);
-      o.audit_frac = parse_double(a, need_value(i++));
+      o.audit_frac = xg::parse_flag_double(a, need_value(i++));
       o.audit_frac_set = true;
     } else if (a == "--audit-seed") {
       once(a);
-      o.audit_seed = parse_int(a, need_value(i++));
+      o.audit_seed = xg::parse_flag_int(a, need_value(i++));
     } else if (a == "--backfill") {
       once(a);
       o.backfill = true;

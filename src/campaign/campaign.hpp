@@ -32,7 +32,7 @@ struct JobPlan {
   std::vector<int> member_indices;  ///< indices into CampaignSpec::members
   int ranks_per_sim = 0;
   gyro::Decomposition decomp;
-  double predicted_seconds = 0.0;  ///< closed-form time per report interval
+  double predicted_seconds = 0.0;  ///< perfmodel time per report interval
 
   [[nodiscard]] int k() const { return static_cast<int>(member_indices.size()); }
 };

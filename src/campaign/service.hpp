@@ -29,8 +29,9 @@
 // Everything runs under the deterministic DES: the service clock is
 // virtual, job durations come from actually running each job (slice) with
 // mpi::run_simulation — or, on the modeled fast path, directly from the
-// perfmodel closed forms, with a seeded sample of jobs still DES-executed
-// as audits so the model cannot silently drift (ServiceConfig::fast_path).
+// perfmodel's per-phase estimate (every collective priced as the schedule
+// the DES runs), with a seeded sample of jobs still DES-executed as audits
+// so the model cannot silently drift (ServiceConfig::fast_path).
 // Identical streams + config reproduce identical results bit for bit in
 // every mode.
 #pragma once
@@ -136,8 +137,9 @@ struct ServiceConfig {
 
   // --- Production-scale stream knobs ---------------------------------------
   /// Modeled fast path: price each slice from the perfmodel (the same
-  /// selector-aware closed forms the planner used to choose the job's
-  /// layout) and advance virtual time without spinning up simnet ranks.
+  /// selector-aware estimate the planner used to choose the job's layout,
+  /// its collectives priced by replaying the DES's schedules) and advance
+  /// virtual time without spinning up simnet ranks.
   /// A seeded sample of audit_frac jobs still DES-executes and feeds the
   /// fast-path divergence gate (perfmodel::audit_fast_path); jobs carrying
   /// fault plans are always DES-executed ("forced" audits — the model

@@ -1,6 +1,8 @@
 #include "perfmodel/perfmodel.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "gyro/simulation.hpp"
 #include "util/error.hpp"
@@ -8,191 +10,7 @@
 
 namespace xg::perfmodel {
 
-namespace {
-
-/// Does a communicator of `participants` consecutive ranks cross nodes?
-bool spans_nodes(const net::MachineSpec& spec, int participants) {
-  return participants > spec.ranks_per_node;
-}
-
-int ceil_log2(int n) {
-  int l = 0;
-  while ((1 << l) < n) ++l;
-  return l;
-}
-
-int ceil_div(int a, int b) { return (a + b - 1) / b; }
-
-}  // namespace
-
-double round_cost(const net::MachineSpec& spec, std::uint64_t bytes,
-                  bool internode, int nic_sharers) {
-  const net::Placement place(spec);
-  const double bw = internode
-                        ? place.inter_bw_effective(
-                              nic_sharers < 0 ? spec.ranks_per_node : nic_sharers)
-                        : spec.intra_bw_Bps;
-  const double lat = internode ? spec.inter_latency_s : spec.intra_latency_s;
-  return spec.send_overhead_s + static_cast<double>(bytes) / bw + lat +
-         spec.recv_overhead_s;
-}
-
-namespace {
-
 using Kind = mpi::TraceEvent::Kind;
-
-/// Node-hierarchy shape of a `participants`-rank communicator under
-/// consecutive placement: `m` ranks per intra-node group, `L` node groups.
-struct HierShape {
-  int m = 1;
-  int L = 1;
-};
-
-HierShape hier_shape(const net::MachineSpec& spec, int participants,
-                     bool internode) {
-  HierShape h;
-  h.m = internode ? std::min(participants, spec.ranks_per_node) : participants;
-  h.L = internode ? ceil_div(participants, spec.ranks_per_node) : 1;
-  return h;
-}
-
-double estimate_allreduce_alg(const net::MachineSpec& spec, mpi::CollAlg alg,
-                              int p, std::uint64_t bytes, bool internode,
-                              int nic_sharers) {
-  const double rc = round_cost(spec, bytes, internode, nic_sharers);
-  switch (alg) {
-    case mpi::CollAlg::kLinear:
-      // linear reduce serializes p−1 receives at the root, then binomial
-      // bcast fans the result back out.
-      return (p - 1) * rc + ceil_log2(p) * rc;
-    case mpi::CollAlg::kRecursiveDoubling:
-      return ceil_log2(p) * rc;
-    case mpi::CollAlg::kRing:
-      // 2(p−1) rounds of bytes/p chunks.
-      return 2.0 * (p - 1) *
-             round_cost(spec, bytes / static_cast<std::uint64_t>(p), internode,
-                        nic_sharers);
-    case mpi::CollAlg::kRabenseifner: {
-      // Recursive halving + doubling: message size halves each of the
-      // ceil_log2(p) rounds in each direction.
-      double t = 0.0;
-      for (int l = 1; l <= ceil_log2(p); ++l) {
-        t += 2.0 * round_cost(spec, bytes >> l, internode, nic_sharers);
-      }
-      return t;
-    }
-    case mpi::CollAlg::kHierarchical: {
-      const HierShape h = hier_shape(spec, p, internode);
-      // Intra-node linear reduce to the leader (m−1 serialized receives),
-      // leader exchange at nic_sharers = 1 (simmpi's exclusive-NIC window)
-      // with the same ring/rdb split hierarchical scheduling uses, then
-      // intra-node binomial bcast.
-      const double intra = round_cost(spec, bytes, false);
-      double t = (h.m - 1) * intra + ceil_log2(h.m) * intra;
-      if (h.L > 1) {
-        const mpi::CollAlg inter = (bytes >= 64 * 1024 && h.L > 2)
-                                       ? mpi::CollAlg::kRing
-                                       : mpi::CollAlg::kRecursiveDoubling;
-        t += estimate_allreduce_alg(spec, inter, h.L, bytes, true, 1);
-      }
-      return t;
-    }
-    default:
-      throw InputError(strprintf("perfmodel: no allreduce formula for '%s'",
-                                 mpi::coll_alg_name(alg)));
-  }
-}
-
-double estimate_allgather_alg(const net::MachineSpec& spec, mpi::CollAlg alg,
-                              int p, std::uint64_t block_bytes, bool internode,
-                              int nic_sharers) {
-  switch (alg) {
-    case mpi::CollAlg::kLinear:
-    case mpi::CollAlg::kRing:
-      return (p - 1) * round_cost(spec, block_bytes, internode, nic_sharers);
-    case mpi::CollAlg::kBruck: {
-      // Doubling rounds; round l moves min(2^l, p − 2^l) blocks.
-      double t = 0.0;
-      for (int k = 1; k < p; k *= 2) {
-        const std::uint64_t moved =
-            static_cast<std::uint64_t>(std::min(k, p - k)) * block_bytes;
-        t += round_cost(spec, moved, internode, nic_sharers);
-      }
-      return t;
-    }
-    default:
-      throw InputError(strprintf("perfmodel: no allgather formula for '%s'",
-                                 mpi::coll_alg_name(alg)));
-  }
-}
-
-double estimate_alltoall_alg(const net::MachineSpec& spec, mpi::CollAlg alg,
-                             int p, std::uint64_t bytes_per_pair,
-                             bool internode, int nic_sharers) {
-  switch (alg) {
-    case mpi::CollAlg::kLinear:
-    case mpi::CollAlg::kPairwise:
-      return (p - 1) * round_cost(spec, bytes_per_pair, internode, nic_sharers);
-    case mpi::CollAlg::kBruck:
-      // ceil_log2(p) rounds, each moving about half the local buffer.
-      return ceil_log2(p) *
-             round_cost(spec,
-                        bytes_per_pair * static_cast<std::uint64_t>(
-                                             ceil_div(p, 2)),
-                        internode, nic_sharers);
-    default:
-      throw InputError(strprintf("perfmodel: no alltoall formula for '%s'",
-                                 mpi::coll_alg_name(alg)));
-  }
-}
-
-}  // namespace
-
-double estimate_coll(const net::MachineSpec& spec, Kind kind, mpi::CollAlg alg,
-                     int participants, std::uint64_t bytes, bool internode,
-                     int nic_sharers) {
-  if (participants <= 1) return 0.0;
-  if (alg == mpi::CollAlg::kAuto) {
-    alg = mpi::CollSelector::tuned().choose(kind, bytes, participants,
-                                            internode);
-  }
-  switch (kind) {
-    case Kind::kAllReduce:
-      return estimate_allreduce_alg(spec, alg, participants, bytes, internode,
-                                    nic_sharers);
-    case Kind::kAllGather:
-      return estimate_allgather_alg(spec, alg, participants, bytes, internode,
-                                    nic_sharers);
-    case Kind::kAllToAll:
-      return estimate_alltoall_alg(spec, alg, participants, bytes, internode,
-                                   nic_sharers);
-    default:
-      throw InputError("perfmodel: estimate_coll supports the selector-governed "
-                       "collectives only");
-  }
-}
-
-double estimate_allreduce(const net::MachineSpec& spec, int participants,
-                          std::uint64_t bytes, bool internode, int nic_sharers,
-                          const mpi::CollSelector* selector) {
-  if (participants <= 1) return 0.0;
-  const mpi::CollAlg alg =
-      (selector != nullptr ? *selector : mpi::CollSelector::tuned())
-          .choose(Kind::kAllReduce, bytes, participants, internode);
-  return estimate_coll(spec, Kind::kAllReduce, alg, participants, bytes,
-                       internode, nic_sharers);
-}
-
-double estimate_alltoall(const net::MachineSpec& spec, int participants,
-                         std::uint64_t bytes_per_pair, bool internode,
-                         int nic_sharers, const mpi::CollSelector* selector) {
-  if (participants <= 1) return 0.0;
-  const mpi::CollAlg alg =
-      (selector != nullptr ? *selector : mpi::CollSelector::tuned())
-          .choose(Kind::kAllToAll, bytes_per_pair, participants, internode);
-  return estimate_coll(spec, Kind::kAllToAll, alg, participants, bytes_per_pair,
-                       internode, nic_sharers);
-}
 
 net::MachineSpec nl03c_machine(int n_nodes) {
   net::MachineSpec m = net::frontier_like(n_nodes);
@@ -219,6 +37,27 @@ PhaseEstimate estimate_phases(const gyro::Input& input,
   const net::Placement place(spec);
   const int steps = input.n_steps_per_report;
 
+  // World ranks of rank 0's communicators, as make_cgyro_layout and
+  // make_xgyro_layout split them: nv holds the pv velocity ranks of one
+  // toroidal block, t one rank per toroidal block (pv apart), and coll the
+  // nv ranks of every member sharing cmat (CGYRO aliases coll to nv).
+  std::vector<int> nv(static_cast<size_t>(d.pv));
+  std::iota(nv.begin(), nv.end(), 0);
+  std::vector<int> t;
+  for (int j = 0; j < d.pt; ++j) t.push_back(j * d.pv);
+  std::vector<int> coll;
+  for (int s = 0; s < std::max(1, k); ++s) {
+    for (const int r : nv) coll.push_back(s * d.pv * d.pt + r);
+  }
+  // Each collective priced as the schedule the DES runs for it.
+  const mpi::CollSelector& sel =
+      selector != nullptr ? *selector : mpi::CollSelector::tuned();
+  const auto price = [&](const std::vector<int>& members, Kind kind,
+                         std::uint64_t bytes) {
+    return mpi::price_collective(place, members, kind, bytes,
+                                 mpi::CollAlg::kAuto, sel);
+  };
+
   PhaseEstimate e;
   // --- streaming: 4 RK stages per step, field (n_field components) +
   // upwind reductions each stage --------------------------------------------
@@ -226,14 +65,9 @@ PhaseEstimate estimate_phases(const gyro::Input& input,
       elems * ((input.n_field + 1.0) * cm.field_partial_flops_per_elem +
                cm.rhs_flops_per_elem);
   e.str = steps * 4.0 * place.compute_time(stage_flops, 0.0);
-  const bool nv_internode = spans_nodes(spec, d.pv);
-  // Solver communicators run bulk-synchronously with siblings on every
-  // node, so the conservative full-node NIC share applies (sharers = -1).
-  e.str_comm =
-      steps * 4.0 *
-      (estimate_allreduce(spec, d.pv, field_bytes * input.n_field, nv_internode,
-                          -1, selector) +
-       estimate_allreduce(spec, d.pv, field_bytes, nv_internode, -1, selector));
+  e.str_comm = steps * 4.0 *
+               (price(nv, Kind::kAllReduce, field_bytes * input.n_field) +
+                price(nv, Kind::kAllReduce, field_bytes));
 
   // --- nonlinear bracket ------------------------------------------------------
   if (input.nonlinear) {
@@ -242,18 +76,13 @@ PhaseEstimate estimate_phases(const gyro::Input& input,
                  cm.nl_fft_flops_per_log *
                      std::log2(static_cast<double>(std::max(2, input.nt()))));
     e.nl = steps * 4.0 * place.compute_time(nl_flops, 0.0);
-    // φ allgather + two transposes over the t communicator. Ranks in the t
-    // communicator are spaced pv apart, so pt > 1 implies internode when a
-    // simulation spans more than one node.
-    const bool internode = spans_nodes(spec, d.pv * d.pt);
+    // φ allgather + two transposes over the t communicator.
     const std::uint64_t block =
         static_cast<std::uint64_t>(input.nt() / d.pt) * (input.nc() / d.pt) *
         (input.nv() / d.pv) * 16;
-    const double gather =
-        (d.pt - 1) * round_cost(spec, field_bytes, internode);
     e.nl_comm = steps * 4.0 *
-                (gather + 2.0 * estimate_alltoall(spec, d.pt, block, internode,
-                                                  -1, selector));
+                (price(t, Kind::kAllGather, field_bytes) +
+                 2.0 * price(t, Kind::kAllToAll, block));
   }
 
   // --- collisions --------------------------------------------------------------
@@ -269,17 +98,11 @@ PhaseEstimate estimate_phases(const gyro::Input& input,
   const double distinct_cells = cells / std::max(1, k);
   e.coll = steps * place.compute_time(cells * apply_flops,
                                       distinct_cells * apply_bytes);
-  const int coll_p = k * d.pv;
+  const int coll_p = static_cast<int>(coll.size());
   const std::uint64_t coll_block =
       static_cast<std::uint64_t>(input.nv() / d.pv) *
-      (input.nc() / std::max(1, coll_p)) * (input.nt() / d.pt) * 16;
-  // The ensemble coll communicator picks ranks from every member's node
-  // block — internode as soon as the job spans more than one node.
-  const bool coll_internode =
-      k > 1 ? spans_nodes(spec, k * d.pv * d.pt) : spans_nodes(spec, d.pv);
-  e.coll_comm =
-      steps * 2.0 *
-      estimate_alltoall(spec, coll_p, coll_block, coll_internode, -1, selector);
+      (input.nc() / coll_p) * (input.nt() / d.pt) * 16;
+  e.coll_comm = steps * 2.0 * price(coll, Kind::kAllToAll, coll_block);
   return e;
 }
 

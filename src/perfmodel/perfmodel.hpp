@@ -1,11 +1,16 @@
-// Closed-form performance estimates and the nl03c-scale campaign planner.
+// Per-phase performance estimates and the nl03c-scale campaign planner.
 //
-// The discrete-event simulator (simmpi) is the source of truth; the closed
-// forms here serve three purposes: they cross-check the DES in tests, they
-// let the capacity-planner example answer "how many nodes / what ensemble
-// size" questions instantly, without spinning up rank threads, and they
-// price the campaign service's fast path (ServiceConfig::fast_path), whose
-// sampled DES audit holds them to the simulator.
+// The discrete-event simulator (simmpi) is the source of truth. An
+// estimate adds up, per reporting interval, the compute charges the solver
+// makes and the collectives it calls, each collective priced by
+// mpi::price_collective: the schedule the DES runs, replayed without
+// threads, so every collective's price equals what the DES charges for it
+// alone. What the estimate leaves out is the interplay a whole run adds —
+// ranks arriving skewed, overlap, init. Estimates let the capacity-planner
+// example answer "how many nodes / what ensemble size" questions
+// instantly, without spinning up rank threads, and they price the campaign
+// service's fast path (ServiceConfig::fast_path), whose sampled DES audit
+// holds them to the simulator.
 #pragma once
 
 #include <cstdint>
@@ -20,38 +25,6 @@
 
 namespace xg::perfmodel {
 
-/// Worst-link round cost for one p2p exchange of `bytes`. `nic_sharers` is
-/// the NIC-sharing factor of the communicator (-1 = all ranks on the node).
-double round_cost(const net::MachineSpec& spec, std::uint64_t bytes,
-                  bool internode, int nic_sharers = -1);
-
-/// Closed-form cost of one collective instance scheduled with a specific
-/// algorithm. `bytes` follows the selector's decision-key convention
-/// (simmpi/coll.hpp): total buffer bytes for allreduce, per-rank block bytes
-/// for allgather, per-pair block bytes for alltoall.
-/// Hierarchical formulas assume consecutive rank→node placement (intra-node
-/// groups of `spec.ranks_per_node`, leaders exchanging at nic_sharers = 1 —
-/// the exclusive-NIC window simmpi grants them). Throws xg::InputError on an
-/// (kind, alg) pair the runtime cannot schedule.
-double estimate_coll(const net::MachineSpec& spec, mpi::TraceEvent::Kind kind,
-                     mpi::CollAlg alg, int participants, std::uint64_t bytes,
-                     bool internode, int nic_sharers = -1);
-
-/// Closed-form AllReduce estimate. The algorithm is resolved through
-/// `selector` (nullptr = the built-in tuned table, matching what a default
-/// simmpi run schedules) and priced with estimate_coll.
-double estimate_allreduce(const net::MachineSpec& spec, int participants,
-                          std::uint64_t bytes, bool internode,
-                          int nic_sharers = -1,
-                          const mpi::CollSelector* selector = nullptr);
-
-/// Closed-form AllToAll estimate (`bytes_per_pair` per destination),
-/// selector-resolved like estimate_allreduce.
-double estimate_alltoall(const net::MachineSpec& spec, int participants,
-                         std::uint64_t bytes_per_pair, bool internode,
-                         int nic_sharers = -1,
-                         const mpi::CollSelector* selector = nullptr);
-
 /// The machine the nl03c-scale experiments run on: Frontier-like topology
 /// with the per-rank capacity calibrated (5 GB) so that the published
 /// memory claims reproduce — a single nl03c-like simulation first fits at
@@ -59,7 +32,7 @@ double estimate_alltoall(const net::MachineSpec& spec, int participants,
 /// ~94% utilization. See DESIGN.md §2 for the substitution rationale.
 net::MachineSpec nl03c_machine(int n_nodes);
 
-/// Per-phase seconds for one reporting interval, estimated in closed form.
+/// Per-phase seconds for one reporting interval.
 struct PhaseEstimate {
   double str = 0.0;
   double str_comm = 0.0;
@@ -73,12 +46,15 @@ struct PhaseEstimate {
   }
 };
 
-/// Closed-form per-phase costs for one reporting interval of a k-member run
-/// with decomposition `d` on `spec` (k = 1 is plain CGYRO). This is the
-/// prediction the analysis engine's divergence report replays against
-/// measured per-phase DES costs. `selector` picks collective algorithms for
-/// the comm phases (nullptr = built-in tuned table); pass the selector the
-/// run used so prediction and measurement price the same schedules.
+/// Per-phase costs for one reporting interval of a k-member run with
+/// decomposition `d` on `spec` (k = 1 is plain CGYRO). Every solver
+/// collective (field/upwind AllReduce, φ AllGather, nl and coll transposes)
+/// is priced on the members rank 0's nv, t and coll communicators have in
+/// the DES layout. This is the prediction the analysis engine's divergence
+/// report replays against measured per-phase DES costs. `selector` picks
+/// collective algorithms for the comm phases (nullptr = built-in tuned
+/// table); pass the selector the run used so prediction and measurement
+/// price the same schedules.
 PhaseEstimate estimate_phases(const gyro::Input& input,
                               const gyro::Decomposition& d, int k,
                               const net::MachineSpec& spec,
@@ -101,9 +77,9 @@ PlanPoint plan_cgyro(const gyro::Input& input, const net::MachineSpec& machine);
 
 /// Evaluate running a k-member ensemble XGYRO-style on `nodes` nodes
 /// (ranks split evenly across members). `selector` propagates to
-/// estimate_phases so callers pricing a run that uses a tuned collective
-/// decision table (the campaign service's fast path) get selector-aware
-/// comm costs.
+/// estimate_phases so callers pricing a run that uses a custom collective
+/// decision table (the campaign service's fast path) price the schedules
+/// that run will execute.
 PlanPoint plan_xgyro(const gyro::Input& input, int k,
                      const net::MachineSpec& machine,
                      const mpi::CollSelector* selector = nullptr);
@@ -113,7 +89,7 @@ PlanPoint plan_xgyro(const gyro::Input& input, int k,
 /// simulation does require at least 32 nodes".
 int min_feasible_nodes_cgyro(const gyro::Input& input, int max_nodes);
 
-/// Closed-form queue-wait estimate for a request admitted to the campaign
+/// Queue-wait estimate for a request admitted to the campaign
 /// service: the committed backlog (node-seconds of planned work ahead of
 /// it) drained by the whole allocation at full utilization. A lower bound —
 /// packing gaps, preemption, and per-slice restart overhead only push the
@@ -164,8 +140,8 @@ WaitCalibration calibrate_queue_wait(
 /// sampled-audit job contributes a (fast-path price, audited DES cost)
 /// pair, and the gate checks the per-job ratio max(price, cost) /
 /// min(price, cost) against a multiplicative tolerance — the same envelope
-/// the PR-5 phase-divergence gate uses, because both compare the closed
-/// forms to the DES they summarize.
+/// the phase-divergence gate uses, because both compare estimate_phases to
+/// the DES it summarizes.
 struct AuditGate {
   int n = 0;                      ///< audited (price, cost) pairs
   double mean_price_s = 0.0;      ///< mean fast-path price per audited job
@@ -177,9 +153,9 @@ struct AuditGate {
   double tolerance = 0.0;
 };
 
-/// Audit-gate defaults. The tolerance matches the PR-5 divergence envelope:
-/// the price and the audited cost come from the same model/DES pair, so a
-/// job drifting past 3x means the closed forms no longer describe what the
+/// Audit-gate defaults. The tolerance matches the divergence envelope: the
+/// price and the audited cost come from the same model/DES pair, so a job
+/// drifting past 3x means the estimate no longer describes what the
 /// simulator executes. Significance cuts keep trivial streams (too few
 /// audits, or audited costs in the noise) reported but not gated.
 inline constexpr double kDefaultAuditTolerance = 3.0;

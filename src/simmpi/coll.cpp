@@ -1,32 +1,38 @@
-// Collective algorithm library + decision logic.
+// Collective algorithm library, decision logic and pricer.
 //
-// Every algorithm here is expressed as a schedule of CollBuf/BlockBuf
-// operations over a communicator, so one implementation serves the typed,
-// virtual, and fault-injected paths identically. The *_subset variants run
-// a schedule over an ordered subset of a communicator's local ranks — the
-// building block of the hierarchical (leader-based) AllReduce, which reduces
-// within each node first so only one rank per node injects into the fabric.
+// Every algorithm here is written once, as a schedule of CollBuf/BlockBuf
+// transfers over a CollTopo. The DES runs it through comm.hpp's backings
+// (typed, virtual and fault-injected paths alike); price_collective runs
+// it through a recorder and replays the recorded transfers on the DES's
+// LogGP step. The *_subset variants run a schedule over an ordered subset
+// of a communicator's local ranks — the building block of the hierarchical
+// (leader-based) AllReduce, which reduces within each node first so only
+// one rank per node injects into the fabric.
 #include "simmpi/coll.hpp"
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <numeric>
 #include <vector>
 
-#include "simmpi/comm.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
 
 namespace xg::mpi {
 
+namespace {
+
+/// MPICH-style latency/bandwidth crossover: the legacy selector's AllReduce
+/// cutoff, and the hierarchical AllReduce's choice between recursive
+/// doubling and the ring for its inter-node stage.
+constexpr std::uint64_t kRingThresholdBytes = 64 * 1024;
+
+}  // namespace
+
 namespace detail {
 
 namespace {
-
-/// MPICH-style latency/bandwidth crossover (the legacy selector's AllReduce
-/// cutoff), reused by the hierarchical AllReduce to pick its inter-node
-/// stage.
-constexpr std::uint64_t kRingThresholdBytes = 64 * 1024;
 
 /// Largest power of two <= n (n >= 1).
 int pow2_floor(int n) {
@@ -61,8 +67,7 @@ std::vector<int> identity_ranks(int p) {
 /// `skip_final_fold` (kBrokenForTesting) omits handing the result back to
 /// the folded odd ranks, leaving them with stale partial sums — a seeded
 /// defect the invariant monitor must detect via the result-hash check.
-void allreduce_rdb_subset(Comm& c, CollBuf& buf, int tag,
-                          std::span<const int> ranks, int my_idx,
+void allreduce_rdb_subset(CollBuf& buf, std::span<const int> ranks, int my_idx,
                           bool skip_final_fold = false) {
   const int p = static_cast<int>(ranks.size());
   const size_t n = buf.count();
@@ -72,9 +77,9 @@ void allreduce_rdb_subset(Comm& c, CollBuf& buf, int tag,
   // Fold the ranks beyond the largest power of two into their even partner.
   if (my_idx < 2 * rem) {
     if (my_idx % 2 == 1) {
-      buf.send_range(c, ranks[my_idx - 1], tag, 0, n);
+      buf.send_range(ranks[my_idx - 1], 0, n);
     } else {
-      buf.recv_reduce(c, ranks[my_idx + 1], tag, 0, n, /*partner_lower=*/false);
+      buf.recv_reduce(ranks[my_idx + 1], 0, n, /*partner_lower=*/false);
     }
   }
   const int newrank =
@@ -84,8 +89,8 @@ void allreduce_rdb_subset(Comm& c, CollBuf& buf, int tag,
       const int partner_new = newrank ^ mask;
       const int partner_idx =
           (partner_new < rem) ? partner_new * 2 : partner_new + rem;
-      buf.send_range(c, ranks[partner_idx], tag, 0, n);
-      buf.recv_reduce(c, ranks[partner_idx], tag, 0, n,
+      buf.send_range(ranks[partner_idx], 0, n);
+      buf.recv_reduce(ranks[partner_idx], 0, n,
                       /*partner_lower=*/partner_idx < my_idx);
     }
   }
@@ -93,9 +98,9 @@ void allreduce_rdb_subset(Comm& c, CollBuf& buf, int tag,
   if (skip_final_fold) return;
   if (my_idx < 2 * rem) {
     if (my_idx % 2 == 0) {
-      buf.send_range(c, ranks[my_idx + 1], tag, 0, n);
+      buf.send_range(ranks[my_idx + 1], 0, n);
     } else {
-      buf.recv_replace(c, ranks[my_idx - 1], tag, 0, n);
+      buf.recv_replace(ranks[my_idx - 1], 0, n);
     }
   }
 }
@@ -103,8 +108,8 @@ void allreduce_rdb_subset(Comm& c, CollBuf& buf, int tag,
 /// Ring allreduce: a ring reduce-scatter (after which subset member i holds
 /// chunk (i+1) mod P fully reduced) followed by a ring allgather. Optimal
 /// bandwidth (2·(P−1)/P · bytes per rank) for large payloads.
-void allreduce_ring_subset(Comm& c, CollBuf& buf, int tag,
-                           std::span<const int> ranks, int my_idx) {
+void allreduce_ring_subset(CollBuf& buf, std::span<const int> ranks,
+                           int my_idx) {
   const int p = static_cast<int>(ranks.size());
   const size_t n = buf.count();
   const int right = ranks[(my_idx + 1) % p];
@@ -112,17 +117,17 @@ void allreduce_ring_subset(Comm& c, CollBuf& buf, int tag,
   for (int step = 0; step < p - 1; ++step) {
     const int send_chunk = (my_idx - step + 2 * p) % p;
     const int recv_chunk = (my_idx - step - 1 + 2 * p) % p;
-    buf.send_range(c, right, tag, chunk_lo(n, p, send_chunk),
+    buf.send_range(right, chunk_lo(n, p, send_chunk),
                    chunk_lo(n, p, send_chunk + 1));
-    buf.recv_reduce(c, left, tag, chunk_lo(n, p, recv_chunk),
+    buf.recv_reduce(left, chunk_lo(n, p, recv_chunk),
                     chunk_lo(n, p, recv_chunk + 1), /*partner_lower=*/true);
   }
   for (int step = 0; step < p - 1; ++step) {
     const int send_chunk = (my_idx + 1 - step + 2 * p) % p;
     const int recv_chunk = (my_idx - step + 2 * p) % p;
-    buf.send_range(c, right, tag, chunk_lo(n, p, send_chunk),
+    buf.send_range(right, chunk_lo(n, p, send_chunk),
                    chunk_lo(n, p, send_chunk + 1));
-    buf.recv_replace(c, left, tag, chunk_lo(n, p, recv_chunk),
+    buf.recv_replace(left, chunk_lo(n, p, recv_chunk),
                      chunk_lo(n, p, recv_chunk + 1));
   }
 }
@@ -130,9 +135,7 @@ void allreduce_ring_subset(Comm& c, CollBuf& buf, int tag,
 /// Rabenseifner allreduce: recursive-halving reduce-scatter followed by a
 /// recursive-doubling allgather. Asymptotically halves the large-message
 /// byte volume of plain recursive doubling while keeping log(P) steps.
-void allreduce_rabenseifner(Comm& c, CollBuf& buf, int tag) {
-  const int p = c.size();
-  const int r = c.rank();
+void allreduce_rabenseifner(CollBuf& buf, int p, int r) {
   const size_t n = buf.count();
   const int p2 = pow2_floor(p);
   const int rem = p - p2;
@@ -140,9 +143,9 @@ void allreduce_rabenseifner(Comm& c, CollBuf& buf, int tag) {
   // Fold the ranks beyond the largest power of two into their even partner.
   if (r < 2 * rem) {
     if (r % 2 == 1) {
-      buf.send_range(c, r - 1, tag, 0, n);
+      buf.send_range(r - 1, 0, n);
     } else {
-      buf.recv_reduce(c, r + 1, tag, 0, n, /*partner_lower=*/false);
+      buf.recv_reduce(r + 1, 0, n, /*partner_lower=*/false);
     }
   }
   const int newrank = (r < 2 * rem) ? ((r % 2 == 0) ? r / 2 : -1) : r - rem;
@@ -158,14 +161,12 @@ void allreduce_rabenseifner(Comm& c, CollBuf& buf, int tag) {
       enclosing.emplace_back(lo, hi);
       const size_t mid = lo + (hi - lo) / 2;
       if (newrank & mask) {
-        buf.send_range(c, partner, tag, lo, mid);
-        buf.recv_reduce(c, partner, tag, mid, hi,
-                        /*partner_lower=*/partner < r);
+        buf.send_range(partner, lo, mid);
+        buf.recv_reduce(partner, mid, hi, /*partner_lower=*/partner < r);
         lo = mid;
       } else {
-        buf.send_range(c, partner, tag, mid, hi);
-        buf.recv_reduce(c, partner, tag, lo, mid,
-                        /*partner_lower=*/partner < r);
+        buf.send_range(partner, mid, hi);
+        buf.recv_reduce(partner, lo, mid, /*partner_lower=*/partner < r);
         hi = mid;
       }
     }
@@ -175,12 +176,12 @@ void allreduce_rabenseifner(Comm& c, CollBuf& buf, int tag) {
       const int partner = old_of(partner_new);
       const auto [elo, ehi] = enclosing.back();
       enclosing.pop_back();
-      buf.send_range(c, partner, tag, lo, hi);
+      buf.send_range(partner, lo, hi);
       if (newrank & mask) {
-        buf.recv_replace(c, partner, tag, elo, lo);
+        buf.recv_replace(partner, elo, lo);
         lo = elo;
       } else {
-        buf.recv_replace(c, partner, tag, hi, ehi);
+        buf.recv_replace(partner, hi, ehi);
         hi = ehi;
       }
     }
@@ -188,9 +189,9 @@ void allreduce_rabenseifner(Comm& c, CollBuf& buf, int tag) {
   // Hand the full result back to the folded odd ranks.
   if (r < 2 * rem) {
     if (r % 2 == 0) {
-      buf.send_range(c, r + 1, tag, 0, n);
+      buf.send_range(r + 1, 0, n);
     } else {
-      buf.recv_replace(c, r - 1, tag, 0, n);
+      buf.recv_replace(r - 1, 0, n);
     }
   }
 }
@@ -200,35 +201,34 @@ void allreduce_rabenseifner(Comm& c, CollBuf& buf, int tag) {
 
 /// Linear reduce: every other member sends its full vector to ranks[0],
 /// which folds them in ascending subset order.
-void reduce_linear(Comm& c, CollBuf& buf, int tag, std::span<const int> ranks,
-                   int my_idx) {
+void reduce_linear(CollBuf& buf, std::span<const int> ranks, int my_idx) {
   const size_t n = buf.count();
   if (my_idx == 0) {
     for (size_t i = 1; i < ranks.size(); ++i) {
-      buf.recv_reduce(c, ranks[i], tag, 0, n, /*partner_lower=*/false);
+      buf.recv_reduce(ranks[i], 0, n, /*partner_lower=*/false);
     }
   } else {
-    buf.send_range(c, ranks[0], tag, 0, n);
+    buf.send_range(ranks[0], 0, n);
   }
 }
 
 /// Binomial-tree bcast from ranks[0].
-void bcast_binomial_subset(Comm& c, CollBuf& buf, int tag,
-                           std::span<const int> ranks, int my_idx) {
+void bcast_binomial_subset(CollBuf& buf, std::span<const int> ranks,
+                           int my_idx) {
   const int p = static_cast<int>(ranks.size());
   if (p <= 1) return;
   const size_t n = buf.count();
   int mask = 1;
   while (mask < p) {
     if (my_idx & mask) {
-      buf.recv_replace(c, ranks[my_idx - mask], tag, 0, n);
+      buf.recv_replace(ranks[my_idx - mask], 0, n);
       break;
     }
     mask <<= 1;
   }
   mask >>= 1;
   while (mask > 0) {
-    if (my_idx + mask < p) buf.send_range(c, ranks[my_idx + mask], tag, 0, n);
+    if (my_idx + mask < p) buf.send_range(ranks[my_idx + mask], 0, n);
     mask >>= 1;
   }
 }
@@ -241,53 +241,65 @@ void bcast_binomial_subset(Comm& c, CollBuf& buf, int tag,
 // gets the full per-rank attach bandwidth: ranks_per_node·n_nodes injectors
 // become n_nodes.
 
-void allreduce_hierarchical(Comm& c, CollBuf& buf, int tag) {
-  const auto& groups = c.node_groups();
-  const int g = c.my_node_group();
+/// Holds the NIC-exclusive window open for its scope.
+class NicExclusive {
+ public:
+  explicit NicExclusive(CollBuf& buf) : buf_(buf) { buf_.nic_exclusive(true); }
+  ~NicExclusive() { buf_.nic_exclusive(false); }
+  NicExclusive(const NicExclusive&) = delete;
+  NicExclusive& operator=(const NicExclusive&) = delete;
+
+ private:
+  CollBuf& buf_;
+};
+
+void allreduce_hierarchical(const CollTopo& topo, CollBuf& buf) {
+  const auto& groups = *topo.node_groups;
+  const auto holds_me = [&](const std::vector<int>& grp) {
+    return std::find(grp.begin(), grp.end(), topo.rank) != grp.end();
+  };
+  const int g = static_cast<int>(
+      std::find_if(groups.begin(), groups.end(), holds_me) - groups.begin());
   const auto& mine = groups[static_cast<size_t>(g)];
-  const int my_idx = index_of(mine, c.rank());  // 0: the node leader
+  const int my_idx = index_of(mine, topo.rank);  // 0: the node leader
 
   // 1) intra-node linear reduce onto the node leader (lowest local rank).
-  reduce_linear(c, buf, tag, mine, my_idx);
+  reduce_linear(buf, mine, my_idx);
 
   // 2) inter-node allreduce among the leaders only, one NIC injector per
-  //    node. Same size crossover as the flat selector: recursive doubling
-  //    when latency-bound, ring when bandwidth-bound.
+  //    node. Same size crossover as the legacy flat selector: recursive
+  //    doubling when latency-bound, ring when bandwidth-bound.
   if (groups.size() > 1 && my_idx == 0) {
     std::vector<int> leaders;
     leaders.reserve(groups.size());
     for (const auto& grp : groups) leaders.push_back(grp.front());
-    ScopedNicExclusive exclusive(c);
+    const NicExclusive exclusive(buf);
     if (buf.total_bytes() >= kRingThresholdBytes && leaders.size() > 2) {
-      allreduce_ring_subset(c, buf, tag, leaders, g);
+      allreduce_ring_subset(buf, leaders, g);
     } else {
-      allreduce_rdb_subset(c, buf, tag, leaders, g);
+      allreduce_rdb_subset(buf, leaders, g);
     }
   }
 
   // 3) intra-node bcast of the reduced vector from the leader.
-  bcast_binomial_subset(c, buf, tag, mine, my_idx);
+  bcast_binomial_subset(buf, mine, my_idx);
 }
 
 // --- block collectives ------------------------------------------------------
 
-void allgather_linear(Comm& c, BlockBuf& buf, int tag) {
-  const int p = c.size();
-  const int r = c.rank();
+void allgather_linear(BlockBuf& buf, int p, int r) {
   buf.copy_in_to_out(0, r);
   // Spread schedule: at step s send to r+s, receive from r-s, so no single
   // rank is a hotspot.
   for (int step = 1; step < p; ++step) {
     const int dst = (r + step) % p;
     const int src = (r - step + p) % p;
-    buf.send_in(c, 0, dst, tag);
-    buf.recv_out(c, src, src, tag);
+    buf.send_in(0, dst);
+    buf.recv_out(src, src);
   }
 }
 
-void allgather_ring(Comm& c, BlockBuf& buf, int tag) {
-  const int p = c.size();
-  const int r = c.rank();
+void allgather_ring(BlockBuf& buf, int p, int r) {
   buf.copy_in_to_out(0, r);
   const int right = (r + 1) % p;
   const int left = (r - 1 + p) % p;
@@ -295,8 +307,8 @@ void allgather_ring(Comm& c, BlockBuf& buf, int tag) {
   for (int step = 0; step < p - 1; ++step) {
     const int send_block = (r - step + 2 * p) % p;
     const int recv_block = (r - step - 1 + 2 * p) % p;
-    buf.send_out(c, send_block, right, tag);
-    buf.recv_out(c, recv_block, left, tag);
+    buf.send_out(send_block, right);
+    buf.recv_out(recv_block, left);
   }
 }
 
@@ -304,9 +316,7 @@ void allgather_ring(Comm& c, BlockBuf& buf, int tag) {
 /// latency-optimal for small blocks where the ring's P−1 rounds dominate.
 /// Invariant after the round with offset k: out[i] holds rank (r+i)%p's
 /// block for i in [0, min(2k, p)).
-void allgather_bruck(Comm& c, BlockBuf& buf, int tag) {
-  const int p = c.size();
-  const int r = c.rank();
+void allgather_bruck(BlockBuf& buf, int p, int r) {
   buf.copy_in_to_out(0, 0);
   std::vector<int> send_blocks;
   std::vector<int> recv_blocks;
@@ -316,8 +326,8 @@ void allgather_bruck(Comm& c, BlockBuf& buf, int tag) {
     std::iota(send_blocks.begin(), send_blocks.end(), 0);
     recv_blocks.resize(static_cast<size_t>(m));
     std::iota(recv_blocks.begin(), recv_blocks.end(), k);
-    buf.send_out_blocks(c, send_blocks, (r - k + p) % p, tag);
-    buf.recv_out_blocks(c, recv_blocks, (r + k) % p, tag);
+    buf.send_out_blocks(send_blocks, (r - k + p) % p);
+    buf.recv_out_blocks(recv_blocks, (r + k) % p);
   }
   // Final rotation: out[j] must hold rank j's block, currently at slot
   // (j - r) mod p.
@@ -326,38 +336,32 @@ void allgather_bruck(Comm& c, BlockBuf& buf, int tag) {
   buf.permute_out(perm);
 }
 
-void alltoall_pairwise(Comm& c, BlockBuf& buf, int tag) {
-  const int p = c.size();
-  const int r = c.rank();
+void alltoall_pairwise(BlockBuf& buf, int p, int r) {
   buf.copy_in_to_out(r, r);
   // Pairwise exchange ("spread" schedule): at step s, send to r+s, receive
   // from r-s. Eager sends make the simultaneous exchange deadlock-free.
   for (int step = 1; step < p; ++step) {
     const int dst = (r + step) % p;
     const int src = (r - step + p) % p;
-    buf.send_in(c, dst, dst, tag);
-    buf.recv_out(c, src, src, tag);
+    buf.send_in(dst, dst);
+    buf.recv_out(src, src);
   }
 }
 
-void alltoall_linear(Comm& c, BlockBuf& buf, int tag) {
-  const int p = c.size();
-  const int r = c.rank();
+void alltoall_linear(BlockBuf& buf, int p, int r) {
   buf.copy_in_to_out(r, r);
   // All sends posted eagerly, then all receives — the naive schedule.
   for (int dst = 0; dst < p; ++dst) {
-    if (dst != r) buf.send_in(c, dst, dst, tag);
+    if (dst != r) buf.send_in(dst, dst);
   }
   for (int src = 0; src < p; ++src) {
-    if (src != r) buf.recv_out(c, src, src, tag);
+    if (src != r) buf.recv_out(src, src);
   }
 }
 
 /// Bruck alltoall: ceil(log2 P) rounds of aggregated half-buffer exchanges —
 /// latency-optimal for small blocks where pairwise's P−1 rounds dominate.
-void alltoall_bruck(Comm& c, BlockBuf& buf, int tag) {
-  const int p = c.size();
-  const int r = c.rank();
+void alltoall_bruck(BlockBuf& buf, int p, int r) {
   // Phase 1: local rotation out[i] = in[(r+i) mod p], so the block destined
   // for rank d sits at slot (d - r) mod p on every rank.
   for (int i = 0; i < p; ++i) buf.copy_in_to_out((r + i) % p, i);
@@ -369,8 +373,8 @@ void alltoall_bruck(Comm& c, BlockBuf& buf, int tag) {
     for (int i = 0; i < p; ++i) {
       if ((i & k) != 0) blocks.push_back(i);
     }
-    buf.send_out_blocks(c, blocks, (r + k) % p, tag);
-    buf.recv_out_blocks(c, blocks, (r - k + p) % p, tag);
+    buf.send_out_blocks(blocks, (r + k) % p);
+    buf.recv_out_blocks(blocks, (r - k + p) % p);
   }
   // Phase 3: inverse rotation; slot j's final content is currently at slot
   // (r - j) mod p.
@@ -387,75 +391,206 @@ void alltoall_bruck(Comm& c, BlockBuf& buf, int tag) {
 
 }  // namespace
 
-CollAlg allreduce_impl(Comm& c, CollBuf& buf, CollAlg alg) {
-  alg = c.resolve_alg(TraceEvent::Kind::kAllReduce, buf.total_bytes(), alg);
-  const int tag = c.internal_tag();
-  if (c.size() == 1) return alg;
-  const auto ranks = identity_ranks(c.size());
-  const int r = c.rank();
+std::vector<std::vector<int>> group_by_node(const net::Placement& place,
+                                            std::span<const int> members) {
+  // Node ids in ascending order → deterministic group order on every member.
+  std::map<int, std::vector<int>> by_node;
+  for (size_t local = 0; local < members.size(); ++local) {
+    by_node[place.node_of(members[local])].push_back(static_cast<int>(local));
+  }
+  std::vector<std::vector<int>> groups;
+  groups.reserve(by_node.size());
+  for (auto& [node, locals] : by_node) groups.push_back(std::move(locals));
+  return groups;
+}
+
+void run_allreduce(const CollTopo& topo, CollBuf& buf, CollAlg alg) {
+  buf.next_stage();
+  if (topo.size == 1) return;
+  const auto ranks = identity_ranks(topo.size);
+  const int r = topo.rank;
   switch (alg) {
     case CollAlg::kLinear:
-      reduce_linear(c, buf, tag, ranks, r);
-      bcast_binomial_subset(c, buf, c.internal_tag(), ranks, r);
+      reduce_linear(buf, ranks, r);
+      buf.next_stage();
+      bcast_binomial_subset(buf, ranks, r);
       break;
     case CollAlg::kRecursiveDoubling:
-      allreduce_rdb_subset(c, buf, tag, ranks, r);
+      allreduce_rdb_subset(buf, ranks, r);
       break;
     case CollAlg::kRing:
-      allreduce_ring_subset(c, buf, tag, ranks, r);
+      allreduce_ring_subset(buf, ranks, r);
       break;
     case CollAlg::kRabenseifner:
-      allreduce_rabenseifner(c, buf, tag);
+      allreduce_rabenseifner(buf, topo.size, r);
       break;
     case CollAlg::kHierarchical:
-      allreduce_hierarchical(c, buf, tag);
+      allreduce_hierarchical(topo, buf);
       break;
     case CollAlg::kBrokenForTesting:
-      allreduce_rdb_subset(c, buf, tag, ranks, r, /*skip_final_fold=*/true);
+      allreduce_rdb_subset(buf, ranks, r, /*skip_final_fold=*/true);
       break;
     default:
       throw_bad_alg("allreduce", alg);
   }
-  return alg;
 }
 
-CollAlg alltoall_impl(Comm& c, BlockBuf& buf, CollAlg alg) {
-  alg = c.resolve_alg(TraceEvent::Kind::kAllToAll, buf.block_bytes(), alg);
-  const int tag = c.internal_tag();
+void run_alltoall(const CollTopo& topo, BlockBuf& buf, CollAlg alg) {
+  buf.next_stage();
   switch (alg) {
     case CollAlg::kLinear:
-      alltoall_linear(c, buf, tag);
+      alltoall_linear(buf, topo.size, topo.rank);
       break;
     case CollAlg::kPairwise:
-      alltoall_pairwise(c, buf, tag);
+      alltoall_pairwise(buf, topo.size, topo.rank);
       break;
     case CollAlg::kBruck:
-      alltoall_bruck(c, buf, tag);
+      alltoall_bruck(buf, topo.size, topo.rank);
       break;
     default:
       throw_bad_alg("alltoall", alg);
   }
-  return alg;
 }
 
-CollAlg allgather_impl(Comm& c, BlockBuf& buf, CollAlg alg) {
-  alg = c.resolve_alg(TraceEvent::Kind::kAllGather, buf.block_bytes(), alg);
-  const int tag = c.internal_tag();
+void run_allgather(const CollTopo& topo, BlockBuf& buf, CollAlg alg) {
+  buf.next_stage();
   switch (alg) {
     case CollAlg::kLinear:
-      allgather_linear(c, buf, tag);
+      allgather_linear(buf, topo.size, topo.rank);
       break;
     case CollAlg::kRing:
-      allgather_ring(c, buf, tag);
+      allgather_ring(buf, topo.size, topo.rank);
       break;
     case CollAlg::kBruck:
-      allgather_bruck(c, buf, tag);
+      allgather_bruck(buf, topo.size, topo.rank);
       break;
     default:
       throw_bad_alg("allgather", alg);
   }
-  return alg;
 }
+
+// --- the pricer ------------------------------------------------------------
+// A schedule's control flow depends only on (topology, rank, sizes), never
+// on received data, so each member's transfers can be recorded on their
+// own and replayed afterwards.
+
+namespace {
+
+/// One recorded transfer of one member's schedule.
+struct Transfer {
+  bool send = false;
+  bool nic_exclusive = false;  ///< sent inside the NIC-exclusive window
+  int peer = 0;                ///< local rank
+  int stage = 0;               ///< stands in for the DES message tag
+  std::uint64_t bytes = 0;
+};
+
+/// The pricer's backing of both transfer interfaces: payload sizes only,
+/// appended to one member's transfer list.
+class Recorder final : public CollBuf, public BlockBuf {
+ public:
+  Recorder(std::vector<Transfer>& out, std::uint64_t bytes)
+      : out_(out), bytes_(bytes) {}
+
+  // CollBuf: a byte-granular buffer of `bytes` elements.
+  [[nodiscard]] size_t count() const override { return bytes_; }
+  [[nodiscard]] std::uint64_t elem_bytes() const override { return 1; }
+  void send_range(int dst, size_t lo, size_t hi) override {
+    add(true, dst, hi - lo);
+  }
+  void recv_replace(int src, size_t lo, size_t hi) override {
+    add(false, src, hi - lo);
+  }
+  void recv_reduce(int src, size_t lo, size_t hi, bool) override {
+    add(false, src, hi - lo);
+  }
+  void nic_exclusive(bool on) override { exclusive_ = on; }
+
+  // BlockBuf: blocks of `bytes` each.
+  void send_in(int, int dst) override { add(true, dst, bytes_); }
+  void send_out(int, int dst) override { add(true, dst, bytes_); }
+  void recv_out(int, int src) override { add(false, src, bytes_); }
+  void copy_in_to_out(int, int) override {}
+  void send_out_blocks(std::span<const int> blocks, int dst) override {
+    add(true, dst, bytes_ * blocks.size());
+  }
+  void recv_out_blocks(std::span<const int> blocks, int src) override {
+    add(false, src, bytes_ * blocks.size());
+  }
+  void permute_out(std::span<const int>) override {}
+
+  void next_stage() override { ++stage_; }
+
+ private:
+  void add(bool send, int peer, std::uint64_t bytes) {
+    out_.push_back({send, exclusive_, peer, stage_, bytes});
+  }
+
+  std::vector<Transfer>& out_;
+  std::uint64_t bytes_;
+  int stage_ = 0;
+  bool exclusive_ = false;
+};
+
+/// Replay every member's transfers from t = 0 and return the makespan. A
+/// member runs until it needs a message no one has sent yet; sweeps repeat
+/// until every list is drained. Matching is FIFO per (source, stage), as
+/// the DES mailbox matches per (source, tag), and each step is the DES's
+/// own arithmetic (net::Placement::send/receive, blocking-send
+/// completion), so the clocks come out bit-identical to a DES run.
+double replay(const net::Placement& place, std::span<const int> members,
+              const std::vector<std::vector<Transfer>>& lists) {
+  struct Member {
+    size_t next = 0;
+    double clock = 0.0;
+    double nic_free = 0.0;
+  };
+  struct InFlight {
+    int src = 0;
+    int stage = 0;
+    double arrival = 0.0;
+  };
+  const size_t p = members.size();
+  std::vector<Member> st(p);
+  std::vector<std::vector<InFlight>> inbox(p);
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (size_t r = 0; r < p; ++r) {
+      Member& m = st[r];
+      const auto& list = lists[r];
+      for (; m.next < list.size(); ++m.next) {
+        const Transfer& t = list[m.next];
+        if (t.send) {
+          const auto sent = place.send(
+              m.clock, m.nic_free, members[r], members[t.peer], t.bytes,
+              t.nic_exclusive ? 1 : -1);
+          m.clock = std::max(m.clock, sent.complete_at);
+          inbox[t.peer].push_back({static_cast<int>(r), t.stage, sent.arrival});
+        } else {
+          auto& box = inbox[r];
+          const auto it =
+              std::find_if(box.begin(), box.end(), [&](const InFlight& f) {
+                return f.src == t.peer && f.stage == t.stage;
+              });
+          if (it == box.end()) break;
+          m.clock = place.receive(m.clock, it->arrival);
+          box.erase(it);
+        }
+        progress = true;
+      }
+    }
+  }
+  double makespan = 0.0;
+  for (size_t r = 0; r < p; ++r) {
+    XG_ASSERT_MSG(st[r].next == lists[r].size(),
+                  "price_collective: schedule cannot complete");
+    makespan = std::max(makespan, st[r].clock);
+  }
+  return makespan;
+}
+
+}  // namespace
 
 }  // namespace detail
 
@@ -532,7 +667,6 @@ CollAlg builtin_choose(TraceEvent::Kind kind, std::uint64_t bytes, int p,
   // frontier_like machine, at the sweep's grid points (256 B .. 1 MiB x
   // 2 .. 256 ranks); rerun the tool after a network-model change to
   // re-derive them.
-  constexpr std::uint64_t kRingThresholdBytes = 64 * 1024;
   switch (kind) {
     case TraceEvent::Kind::kAllReduce:
       if (legacy) {
@@ -639,6 +773,37 @@ CollAlg CollSelector::choose(TraceEvent::Kind kind, std::uint64_t bytes,
     }
   }
   return builtin_choose(kind, bytes, participants, legacy_);
+}
+
+double price_collective(const net::Placement& place,
+                        std::span<const int> members, TraceEvent::Kind kind,
+                        std::uint64_t bytes, CollAlg alg,
+                        const CollSelector& selector) {
+  const int p = static_cast<int>(members.size());
+  const auto groups = detail::group_by_node(place, members);
+  if (alg == CollAlg::kAuto) {
+    alg = selector.choose(kind, bytes, p, groups.size() > 1);
+  }
+  std::vector<std::vector<detail::Transfer>> lists(static_cast<size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    const detail::CollTopo topo{p, r, &groups};
+    detail::Recorder rec(lists[static_cast<size_t>(r)], bytes);
+    switch (kind) {
+      case TraceEvent::Kind::kAllReduce:
+        detail::run_allreduce(topo, rec, alg);
+        break;
+      case TraceEvent::Kind::kAllGather:
+        detail::run_allgather(topo, rec, alg);
+        break;
+      case TraceEvent::Kind::kAllToAll:
+        detail::run_alltoall(topo, rec, alg);
+        break;
+      default:
+        throw MpiUsageError(strprintf("price_collective: %s is not priced",
+                                      trace_kind_name(kind)));
+    }
+  }
+  return detail::replay(place, members, lists);
 }
 
 }  // namespace xg::mpi

@@ -118,8 +118,9 @@ void Comm::barrier() {
 void Comm::allreduce_virtual(std::uint64_t bytes, CollAlg alg) {
   const double t0 = proc_->now();
   const std::uint64_t seq = collective_seq();
-  detail::VirtualCollBuf buf(bytes);
-  const CollAlg ran = detail::allreduce_impl(*this, buf, alg);
+  detail::VirtualCollBuf buf(*this, bytes);
+  const CollAlg ran = resolve_alg(TraceEvent::Kind::kAllReduce, bytes, alg);
+  detail::run_allreduce(topo(), buf, ran);
   finish_collective(TraceEvent::Kind::kAllReduce, ran, bytes, t0, seq,
                     /*has_hash=*/false, 0);
 }
@@ -127,8 +128,10 @@ void Comm::allreduce_virtual(std::uint64_t bytes, CollAlg alg) {
 void Comm::alltoall_virtual(std::uint64_t bytes_per_pair, CollAlg alg) {
   const double t0 = proc_->now();
   const std::uint64_t seq = collective_seq();
-  detail::VirtualBlockBuf buf(bytes_per_pair);
-  const CollAlg ran = detail::alltoall_impl(*this, buf, alg);
+  detail::VirtualBlockBuf buf(*this, bytes_per_pair);
+  const CollAlg ran =
+      resolve_alg(TraceEvent::Kind::kAllToAll, bytes_per_pair, alg);
+  detail::run_alltoall(topo(), buf, ran);
   finish_collective(TraceEvent::Kind::kAllToAll, ran, bytes_per_pair, t0, seq,
                     /*has_hash=*/false, 0);
 }
@@ -136,8 +139,10 @@ void Comm::alltoall_virtual(std::uint64_t bytes_per_pair, CollAlg alg) {
 void Comm::allgather_virtual(std::uint64_t bytes_per_rank, CollAlg alg) {
   const double t0 = proc_->now();
   const std::uint64_t seq = collective_seq();
-  detail::VirtualBlockBuf buf(bytes_per_rank);
-  const CollAlg ran = detail::allgather_impl(*this, buf, alg);
+  detail::VirtualBlockBuf buf(*this, bytes_per_rank);
+  const CollAlg ran =
+      resolve_alg(TraceEvent::Kind::kAllGather, bytes_per_rank, alg);
+  detail::run_allgather(topo(), buf, ran);
   finish_collective(TraceEvent::Kind::kAllGather, ran, bytes_per_rank, t0, seq,
                     /*has_hash=*/false, 0);
 }
@@ -205,22 +210,10 @@ Comm Comm::make_world(Proc& proc) {
 }
 
 void Comm::compute_node_info() const {
-  auto* g = group_.get();
-  if (g->node_info_ready) return;
-  const auto& place = proc_->placement();
-  // Node ids in ascending order → deterministic group order on every member.
-  std::map<int, std::vector<int>> by_node;
-  for (size_t local = 0; local < g->members.size(); ++local) {
-    by_node[place.node_of(g->members[local])].push_back(static_cast<int>(local));
+  if (group_->node_groups.empty()) {
+    group_->node_groups =
+        detail::group_by_node(proc_->placement(), group_->members);
   }
-  g->node_groups.clear();
-  g->node_groups.reserve(by_node.size());
-  const int my_node = place.node_of(g->members[myrank_]);
-  for (auto& [node, locals] : by_node) {
-    if (node == my_node) g->my_group = static_cast<int>(g->node_groups.size());
-    g->node_groups.push_back(std::move(locals));
-  }
-  g->node_info_ready = true;
 }
 
 bool Comm::spans_nodes() const {
@@ -228,14 +221,9 @@ bool Comm::spans_nodes() const {
   return group_->node_groups.size() > 1;
 }
 
-const std::vector<std::vector<int>>& Comm::node_groups() const {
+detail::CollTopo Comm::topo() const {
   compute_node_info();
-  return group_->node_groups;
-}
-
-int Comm::my_node_group() const {
-  compute_node_info();
-  return group_->my_group;
+  return {size(), myrank_, &group_->node_groups};
 }
 
 CollAlg Comm::resolve_alg(TraceEvent::Kind kind, std::uint64_t bytes,

@@ -16,8 +16,10 @@
 // enforced by the invariant monitor.
 //
 // Every collective has a typed form (moves real data) and a `_virtual` form
-// (moves byte counts only). Both follow the identical message schedule, so
-// paper-scale model runs time exactly what small real runs execute.
+// (moves byte counts only). Both run the one schedule coll.cpp defines per
+// algorithm, through the DES backings of its transfer interfaces below, so
+// paper-scale model runs time exactly what small real runs execute — and
+// mpi::price_collective prices exactly what both charge.
 #pragma once
 
 #include <cstring>
@@ -26,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "simmpi/coll.hpp"
 #include "simmpi/runtime.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -53,61 +56,15 @@ struct Group {
   /// Temporary NIC-sharing override (> 0 wins over nic_sharers) used by the
   /// hierarchical AllReduce: during the inter-node stage only one rank per
   /// node (the leader) injects, so it gets the exclusive per-rank attach
-  /// bandwidth. Managed by ScopedNicExclusive.
+  /// bandwidth. Set by Comm::set_nic_exclusive.
   int nic_override = 0;
 
-  // --- lazily computed topology view (Group objects are per rank — the
-  // world group is cached per Proc, split groups are created per rank — so
-  // in-place mutation here is thread-safe).
-  bool node_info_ready = false;
-  /// Local ranks grouped by node (ascending within a node), ordered by node
-  /// id. One group per distinct node the members occupy.
+  /// Lazily computed topology view (Group objects are per rank — the world
+  /// group is cached per Proc, split groups are created per rank — so
+  /// in-place mutation here is thread-safe): local ranks grouped by node
+  /// (ascending within a node), ordered by node id; empty until computed.
   std::vector<std::vector<int>> node_groups;
-  int my_group = -1;  ///< index into node_groups of this rank's node
 };
-
-/// Type-erased element buffer used by the AllReduce schedules.
-class CollBuf {
- public:
-  virtual ~CollBuf() = default;
-  [[nodiscard]] virtual size_t count() const = 0;
-  [[nodiscard]] virtual std::uint64_t elem_bytes() const = 0;
-  virtual void send_range(Comm& c, int dst, int tag, size_t lo, size_t hi) = 0;
-  virtual void recv_replace(Comm& c, int src, int tag, size_t lo, size_t hi) = 0;
-  /// Receive [lo,hi) and fold into the local buffer. `partner_lower` fixes
-  /// the operand order so floating-point results are rank-order stable.
-  virtual void recv_reduce(Comm& c, int src, int tag, size_t lo, size_t hi,
-                           bool partner_lower) = 0;
-  [[nodiscard]] std::uint64_t total_bytes() const { return count() * elem_bytes(); }
-};
-
-/// Type-erased uniform-block buffer used by alltoall/allgather.
-class BlockBuf {
- public:
-  virtual ~BlockBuf() = default;
-  virtual void send_in(Comm& c, int block, int dst, int tag) = 0;
-  virtual void send_out(Comm& c, int block, int dst, int tag) = 0;
-  virtual void recv_out(Comm& c, int block, int src, int tag) = 0;
-  virtual void copy_in_to_out(int in_block, int out_block) = 0;
-  /// Send/receive a set of out-blocks as ONE message (packed contiguously in
-  /// `blocks` order). The Bruck algorithms owe their log(P) step count to
-  /// this aggregation; P separate messages would pay P latencies.
-  virtual void send_out_blocks(Comm& c, std::span<const int> blocks, int dst,
-                               int tag) = 0;
-  virtual void recv_out_blocks(Comm& c, std::span<const int> blocks, int src,
-                               int tag) = 0;
-  /// In-place block permutation: new_out[j] = old_out[perm[j]]. No traffic,
-  /// so the virtual form is a no-op.
-  virtual void permute_out(std::span<const int> perm) = 0;
-  [[nodiscard]] virtual std::uint64_t block_bytes() const = 0;
-};
-
-// Each impl resolves `alg` (kAuto → the run's CollSelector), runs the
-// schedule, and returns the algorithm that actually ran — which the caller
-// records on the trace row and reports to the invariant monitor.
-CollAlg allreduce_impl(Comm& c, CollBuf& buf, CollAlg alg);
-CollAlg alltoall_impl(Comm& c, BlockBuf& buf, CollAlg alg);
-CollAlg allgather_impl(Comm& c, BlockBuf& buf, CollAlg alg);
 
 }  // namespace detail
 
@@ -232,19 +189,21 @@ class Comm {
 
   static Comm make_world(Proc& proc);
 
-  // --- topology view (used by the selector and the hierarchical AllReduce) --
+  // --- topology view (used by the selector and the collective schedules) ---
 
   /// True when this communicator's members are placed on more than one node.
   [[nodiscard]] bool spans_nodes() const;
-  /// Members grouped by node: local ranks (ascending within each node),
-  /// groups ordered by node id. Each node's leader is its first entry.
-  [[nodiscard]] const std::vector<std::vector<int>>& node_groups() const;
-  /// Index into node_groups() of the calling rank's node.
-  [[nodiscard]] int my_node_group() const;
+  /// This communicator as the collective schedules see it.
+  [[nodiscard]] detail::CollTopo topo() const;
 
   // --- internals used by the collective impls -----------------------------
 
   [[nodiscard]] int internal_tag() { return -static_cast<int>(group_->next_seq++ % 1000000000) - 1; }
+
+  /// Model the calling rank as its node's only NIC injector (true) or
+  /// restore the communicator's NIC sharing (false): the exclusive window
+  /// of the hierarchical AllReduce's leader stage.
+  void set_nic_exclusive(bool on) { group_->nic_override = on ? 1 : 0; }
 
   /// Sequence number the next collective on this communicator will use.
   /// Captured before a collective's impl runs; (context, seq) identifies the
@@ -272,8 +231,6 @@ class Comm {
                          std::uint64_t result_hash) const;
 
  private:
-  friend class ScopedNicExclusive;
-
   Comm(Proc* proc, std::shared_ptr<detail::Group> group, int myrank)
       : proc_(proc), group_(std::move(group)), myrank_(myrank) {}
 
@@ -284,53 +241,39 @@ class Comm {
   int myrank_ = -1;
 };
 
-/// RAII: model the calling rank as its node's only NIC injector for the
-/// scope's duration. The hierarchical AllReduce wraps its inter-node stage
-/// in this — exactly one rank per node (the leader) is communicating, so the
-/// machine model's NIC fair-share divisor drops to 1 and sparse injectors
-/// get the full per-rank attach bandwidth.
-class ScopedNicExclusive {
- public:
-  explicit ScopedNicExclusive(Comm& c) : group_(c.group_.get()) {
-    saved_ = group_->nic_override;
-    group_->nic_override = 1;
-  }
-  ~ScopedNicExclusive() { group_->nic_override = saved_; }
-  ScopedNicExclusive(const ScopedNicExclusive&) = delete;
-  ScopedNicExclusive& operator=(const ScopedNicExclusive&) = delete;
-
- private:
-  detail::Group* group_;
-  int saved_ = 0;
-};
-
 namespace detail {
+
+// DES backings of the transfer interfaces: each transfer is one p2p message
+// on the communicator under the running stage's internal tag.
 
 template <typename T, typename Op>
 class TypedCollBuf final : public CollBuf {
  public:
-  TypedCollBuf(std::span<T> buf, Op op) : buf_(buf), op_(op) {}
+  TypedCollBuf(Comm& c, std::span<T> buf, Op op) : c_(c), buf_(buf), op_(op) {}
 
   [[nodiscard]] size_t count() const override { return buf_.size(); }
   [[nodiscard]] std::uint64_t elem_bytes() const override { return sizeof(T); }
 
-  void send_range(Comm& c, int dst, int tag, size_t lo, size_t hi) override {
-    c.send_bytes(dst, tag, buf_.data() + lo, (hi - lo) * sizeof(T));
+  void send_range(int dst, size_t lo, size_t hi) override {
+    c_.send_bytes(dst, tag_, buf_.data() + lo, (hi - lo) * sizeof(T));
   }
-  void recv_replace(Comm& c, int src, int tag, size_t lo, size_t hi) override {
-    c.recv_bytes(src, tag, buf_.data() + lo, (hi - lo) * sizeof(T));
+  void recv_replace(int src, size_t lo, size_t hi) override {
+    c_.recv_bytes(src, tag_, buf_.data() + lo, (hi - lo) * sizeof(T));
   }
-  void recv_reduce(Comm& c, int src, int tag, size_t lo, size_t hi,
-                   bool partner_lower) override {
+  void recv_reduce(int src, size_t lo, size_t hi, bool partner_lower) override {
     scratch_.resize(hi - lo);
-    c.recv_bytes(src, tag, scratch_.data(), (hi - lo) * sizeof(T));
+    c_.recv_bytes(src, tag_, scratch_.data(), (hi - lo) * sizeof(T));
     for (size_t i = 0; i < hi - lo; ++i) {
       buf_[lo + i] = partner_lower ? op_(scratch_[i], buf_[lo + i])
                                    : op_(buf_[lo + i], scratch_[i]);
     }
   }
+  void next_stage() override { tag_ = c_.internal_tag(); }
+  void nic_exclusive(bool on) override { c_.set_nic_exclusive(on); }
 
  private:
+  Comm& c_;
+  int tag_ = 0;
   std::span<T> buf_;
   Op op_;
   std::vector<T> scratch_;
@@ -338,20 +281,24 @@ class TypedCollBuf final : public CollBuf {
 
 class VirtualCollBuf final : public CollBuf {
  public:
-  explicit VirtualCollBuf(std::uint64_t bytes) : bytes_(bytes) {}
+  VirtualCollBuf(Comm& c, std::uint64_t bytes) : c_(c), bytes_(bytes) {}
   [[nodiscard]] size_t count() const override { return bytes_; }
   [[nodiscard]] std::uint64_t elem_bytes() const override { return 1; }
-  void send_range(Comm& c, int dst, int tag, size_t lo, size_t hi) override {
-    c.send_virtual(hi - lo, dst, tag);
+  void send_range(int dst, size_t lo, size_t hi) override {
+    c_.send_virtual(hi - lo, dst, tag_);
   }
-  void recv_replace(Comm& c, int src, int tag, size_t lo, size_t hi) override {
-    c.recv_virtual(hi - lo, src, tag);
+  void recv_replace(int src, size_t lo, size_t hi) override {
+    c_.recv_virtual(hi - lo, src, tag_);
   }
-  void recv_reduce(Comm& c, int src, int tag, size_t lo, size_t hi, bool) override {
-    c.recv_virtual(hi - lo, src, tag);
+  void recv_reduce(int src, size_t lo, size_t hi, bool) override {
+    c_.recv_virtual(hi - lo, src, tag_);
   }
+  void next_stage() override { tag_ = c_.internal_tag(); }
+  void nic_exclusive(bool on) override { c_.set_nic_exclusive(on); }
 
  private:
+  Comm& c_;
+  int tag_ = 0;
   std::uint64_t bytes_;
 };
 
@@ -359,36 +306,34 @@ template <typename T>
 class TypedBlockBuf final : public BlockBuf {
  public:
   /// `in` may alias nothing in `out`; `count` elements per block.
-  TypedBlockBuf(std::span<const T> in, std::span<T> out, size_t count)
-      : in_(in), out_(out), count_(count) {}
+  TypedBlockBuf(Comm& c, std::span<const T> in, std::span<T> out, size_t count)
+      : c_(c), in_(in), out_(out), count_(count) {}
 
-  void send_in(Comm& c, int block, int dst, int tag) override {
-    c.send_bytes(dst, tag, in_.data() + block * count_, count_ * sizeof(T));
+  void send_in(int block, int dst) override {
+    c_.send_bytes(dst, tag_, in_.data() + block * count_, count_ * sizeof(T));
   }
-  void send_out(Comm& c, int block, int dst, int tag) override {
-    c.send_bytes(dst, tag, out_.data() + block * count_, count_ * sizeof(T));
+  void send_out(int block, int dst) override {
+    c_.send_bytes(dst, tag_, out_.data() + block * count_, count_ * sizeof(T));
   }
-  void recv_out(Comm& c, int block, int src, int tag) override {
-    c.recv_bytes(src, tag, out_.data() + block * count_, count_ * sizeof(T));
+  void recv_out(int block, int src) override {
+    c_.recv_bytes(src, tag_, out_.data() + block * count_, count_ * sizeof(T));
   }
   void copy_in_to_out(int in_block, int out_block) override {
     std::memcpy(out_.data() + out_block * count_, in_.data() + in_block * count_,
                 count_ * sizeof(T));
   }
-  void send_out_blocks(Comm& c, std::span<const int> blocks, int dst,
-                       int tag) override {
+  void send_out_blocks(std::span<const int> blocks, int dst) override {
     scratch_.resize(blocks.size() * count_);
     for (size_t i = 0; i < blocks.size(); ++i) {
       std::memcpy(scratch_.data() + i * count_,
                   out_.data() + static_cast<size_t>(blocks[i]) * count_,
                   count_ * sizeof(T));
     }
-    c.send_bytes(dst, tag, scratch_.data(), scratch_.size() * sizeof(T));
+    c_.send_bytes(dst, tag_, scratch_.data(), scratch_.size() * sizeof(T));
   }
-  void recv_out_blocks(Comm& c, std::span<const int> blocks, int src,
-                       int tag) override {
+  void recv_out_blocks(std::span<const int> blocks, int src) override {
     scratch_.resize(blocks.size() * count_);
-    c.recv_bytes(src, tag, scratch_.data(), scratch_.size() * sizeof(T));
+    c_.recv_bytes(src, tag_, scratch_.data(), scratch_.size() * sizeof(T));
     for (size_t i = 0; i < blocks.size(); ++i) {
       std::memcpy(out_.data() + static_cast<size_t>(blocks[i]) * count_,
                   scratch_.data() + i * count_, count_ * sizeof(T));
@@ -402,11 +347,11 @@ class TypedBlockBuf final : public BlockBuf {
                   count_ * sizeof(T));
     }
   }
-  [[nodiscard]] std::uint64_t block_bytes() const override {
-    return count_ * sizeof(T);
-  }
+  void next_stage() override { tag_ = c_.internal_tag(); }
 
  private:
+  Comm& c_;
+  int tag_ = 0;
   std::span<const T> in_;
   std::span<T> out_;
   size_t count_;
@@ -415,29 +360,24 @@ class TypedBlockBuf final : public BlockBuf {
 
 class VirtualBlockBuf final : public BlockBuf {
  public:
-  explicit VirtualBlockBuf(std::uint64_t bytes_per_block) : bytes_(bytes_per_block) {}
-  void send_in(Comm& c, int, int dst, int tag) override {
-    c.send_virtual(bytes_, dst, tag);
-  }
-  void send_out(Comm& c, int, int dst, int tag) override {
-    c.send_virtual(bytes_, dst, tag);
-  }
-  void recv_out(Comm& c, int, int src, int tag) override {
-    c.recv_virtual(bytes_, src, tag);
-  }
+  VirtualBlockBuf(Comm& c, std::uint64_t bytes_per_block)
+      : c_(c), bytes_(bytes_per_block) {}
+  void send_in(int, int dst) override { c_.send_virtual(bytes_, dst, tag_); }
+  void send_out(int, int dst) override { c_.send_virtual(bytes_, dst, tag_); }
+  void recv_out(int, int src) override { c_.recv_virtual(bytes_, src, tag_); }
   void copy_in_to_out(int, int) override {}
-  void send_out_blocks(Comm& c, std::span<const int> blocks, int dst,
-                       int tag) override {
-    c.send_virtual(bytes_ * blocks.size(), dst, tag);
+  void send_out_blocks(std::span<const int> blocks, int dst) override {
+    c_.send_virtual(bytes_ * blocks.size(), dst, tag_);
   }
-  void recv_out_blocks(Comm& c, std::span<const int> blocks, int src,
-                       int tag) override {
-    c.recv_virtual(bytes_ * blocks.size(), src, tag);
+  void recv_out_blocks(std::span<const int> blocks, int src) override {
+    c_.recv_virtual(bytes_ * blocks.size(), src, tag_);
   }
   void permute_out(std::span<const int>) override {}
-  [[nodiscard]] std::uint64_t block_bytes() const override { return bytes_; }
+  void next_stage() override { tag_ = c_.internal_tag(); }
 
  private:
+  Comm& c_;
+  int tag_ = 0;
   std::uint64_t bytes_;
 };
 
@@ -449,8 +389,10 @@ template <typename T, typename Op>
 void Comm::allreduce(std::span<T> data, Op op, CollAlg alg) {
   const double t0 = proc_->now();
   const std::uint64_t seq = collective_seq();
-  detail::TypedCollBuf<T, Op> buf(data, op);
-  const CollAlg ran = detail::allreduce_impl(*this, buf, alg);
+  detail::TypedCollBuf<T, Op> buf(*this, data, op);
+  const CollAlg ran =
+      resolve_alg(TraceEvent::Kind::kAllReduce, data.size_bytes(), alg);
+  detail::run_allreduce(topo(), buf, ran);
   finish_collective(TraceEvent::Kind::kAllReduce, ran, data.size_bytes(), t0,
                     seq, /*has_hash=*/true,
                     Hasher().bytes(data.data(), data.size_bytes()).digest());
@@ -466,8 +408,10 @@ void Comm::alltoall(std::span<const T> send_data, std::span<T> recv_data,
   const double t0 = proc_->now();
   const std::uint64_t seq = collective_seq();
   const size_t count = send_data.size() / size();
-  detail::TypedBlockBuf<T> buf(send_data, recv_data, count);
-  const CollAlg ran = detail::alltoall_impl(*this, buf, alg);
+  detail::TypedBlockBuf<T> buf(*this, send_data, recv_data, count);
+  const CollAlg ran =
+      resolve_alg(TraceEvent::Kind::kAllToAll, count * sizeof(T), alg);
+  detail::run_alltoall(topo(), buf, ran);
   finish_collective(TraceEvent::Kind::kAllToAll, ran, count * sizeof(T), t0,
                     seq, /*has_hash=*/false, 0);
 }
@@ -478,8 +422,10 @@ void Comm::allgather(std::span<const T> mine, std::span<T> all, CollAlg alg) {
              "allgather: output must be size() blocks");
   const double t0 = proc_->now();
   const std::uint64_t seq = collective_seq();
-  detail::TypedBlockBuf<T> buf(mine, all, mine.size());
-  const CollAlg ran = detail::allgather_impl(*this, buf, alg);
+  detail::TypedBlockBuf<T> buf(*this, mine, all, mine.size());
+  const CollAlg ran =
+      resolve_alg(TraceEvent::Kind::kAllGather, mine.size_bytes(), alg);
+  detail::run_allgather(topo(), buf, ran);
   finish_collective(TraceEvent::Kind::kAllGather, ran, mine.size_bytes(), t0,
                     seq, /*has_hash=*/true,
                     Hasher().bytes(all.data(), all.size_bytes()).digest());

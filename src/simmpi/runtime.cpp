@@ -93,25 +93,19 @@ double Proc::p2p_isend(int dst_world, std::uint64_t context, int tag,
   XG_ASSERT_MSG(dst_world >= 0 && dst_world < rt_->nranks_, "send: bad rank");
   fault_check();
   const auto& place = rt_->placement_;
-  // CPU side: only the software overhead.
-  clock_ += place.spec().send_overhead_s;
+  const auto times =
+      place.send(clock_, nic_free_, rank_, dst_world, bytes, nic_sharers);
   auto& b = bucket();
   b.comm_s += place.spec().send_overhead_s;
   b.bytes_sent += bytes;
   b.msgs_sent += 1;
   if (rt_->opts_.enable_traffic) b.bytes_to[dst_world] += bytes;
-  // NIC side: serialize this injection after any outstanding ones.
-  const double inj = place.injection_time(rank_, dst_world, bytes, nic_sharers) -
-                     place.spec().send_overhead_s;
-  const double start = std::max(clock_, nic_free_);
-  const double complete_at = start + inj;
-  nic_free_ = complete_at;
 
   Message m;
   m.context = context;
   m.src_world = rank_;
   m.tag = tag;
-  m.arrival_s = complete_at + place.wire_latency(rank_, dst_world);
+  m.arrival_s = times.arrival;
   m.bytes = bytes;
   m.is_virtual = (data == nullptr);
   if (data != nullptr && bytes > 0) {
@@ -128,7 +122,7 @@ double Proc::p2p_isend(int dst_world, std::uint64_t context, int tag,
     fstats_.delay_added_s += faults_->delay_s;
   }
   rt_->mailboxes_[dst_world]->deliver(std::move(m));
-  return complete_at;
+  return times.complete_at;
 }
 
 void Proc::complete_send(double complete_at_s) {
@@ -158,7 +152,7 @@ void Proc::p2p_recv(int src_world, std::uint64_t context, int tag, void* data,
     }
     if (bytes > 0) std::memcpy(data, m.data.data(), bytes);
   }
-  clock_ = std::max(clock_, m.arrival_s) + rt_->placement_.recv_overhead();
+  clock_ = rt_->placement_.receive(clock_, m.arrival_s);
   bucket().comm_s += clock_ - t0;
   fault_check();
 }

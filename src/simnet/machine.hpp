@@ -9,11 +9,14 @@
 //     receiver busy: o_recv
 //
 // with distinct (latency, bandwidth) for intra-node and inter-node paths.
-// Collective costs are *not* modeled in closed form here — simmpi implements
-// the collective algorithms over p2p messages, so their cost (and its scaling
-// with participant count, the effect XGYRO exploits) emerges from this model.
+// Placement::send/receive are that step, written once: the DES charges
+// every message through them, and simmpi's collective pricer replays
+// recorded schedules through them. Collective costs therefore emerge from
+// the p2p schedules (and with them their scaling with participant count,
+// the effect XGYRO exploits); nothing here prices a collective directly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -126,6 +129,31 @@ class Placement {
   }
 
   [[nodiscard]] double recv_overhead() const { return spec_.recv_overhead_s; }
+
+  /// Virtual times of one eager send.
+  struct SendTimes {
+    double complete_at = 0.0;  ///< injection done: a wait on the send returns
+    double arrival = 0.0;      ///< the message reaches dst
+  };
+
+  /// The LogGP step of one eager send from src to dst on the sender's
+  /// timeline: o_send on the CPU (advances `clock`), then the injection,
+  /// serialized after any outstanding ones on the NIC (advances
+  /// `nic_free`), then the wire latency.
+  SendTimes send(double& clock, double& nic_free, int src, int dst,
+                 std::uint64_t bytes, int nic_sharers) const {
+    clock += spec_.send_overhead_s;
+    const double inj = injection_time(src, dst, bytes, nic_sharers) -
+                       spec_.send_overhead_s;
+    const double complete_at = std::max(clock, nic_free) + inj;
+    nic_free = complete_at;
+    return {complete_at, complete_at + wire_latency(src, dst)};
+  }
+
+  /// The receiver's clock after it takes a message arriving at `arrival`.
+  [[nodiscard]] double receive(double clock, double arrival) const {
+    return std::max(clock, arrival) + spec_.recv_overhead_s;
+  }
 
   /// Compute charge: max of flop-bound and memory-bound estimates.
   [[nodiscard]] double compute_time(double flops, double bytes) const {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <charconv>
+#include <climits>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -62,6 +64,29 @@ std::string to_lower(std::string_view s) {
 
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+int parse_flag_int(const std::string& flag, const std::string& value) {
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
+      v < INT_MIN || v > INT_MAX) {
+    throw InputError(strprintf("%s: '%s' is not an integer", flag.c_str(),
+                               value.c_str()));
+  }
+  return static_cast<int>(v);
+}
+
+double parse_flag_double(const std::string& flag, const std::string& value) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
+    throw InputError(strprintf("%s: '%s' is not a number", flag.c_str(),
+                               value.c_str()));
+  }
+  return v;
 }
 
 long parse_long(std::string_view s, std::string_view context) {

@@ -325,7 +325,7 @@ TEST(Divergence, InsignificantPhasesAreReportedButNotGated) {
 TEST(Divergence, GateTracksARealDesRunAtDefaultTolerance) {
   // The gate must pass against an actual DES run at the paper's operating
   // point (Fig. 2 configuration, reduced step count). Tiny test grids are
-  // useless here: closed forms track real phases, not microsecond stubs.
+  // useless here: the estimate tracks real phases, not microsecond stubs.
   gyro::Input base = gyro::Input::nl03c_like();
   base.n_steps_per_report = 2;
   const int k = 8;
