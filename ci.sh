@@ -5,8 +5,10 @@
 #   2. address+UB-sanitized preset build, then the simmpi, coll, fault and
 #      perfmodel tests (the runtime, its collective schedules and the
 #      pricer) run under it
-#   3. thread-sanitized runtime tests (simmpi_test, fault_test, coll_test
-#      built with -fsanitize=thread and run; any data-race report fails)
+#   3. thread-sanitized runtime tests (simmpi_test, fault_test, coll_test,
+#      and checkpoint_test, campaign_test, xgyro_test, which run the real
+#      solver rank bodies on the rank fibers; built with -fsanitize=thread
+#      and run; any data-race report fails)
 #   4. end-to-end determinism check (identical-seed runs bitwise equal)
 #   5. telemetry artifact smoke (trace/report/metrics export + validation)
 #   6. docs consistency (USER_GUIDE flags vs --help both ways; every guide

@@ -6,7 +6,7 @@
 //
 // What happens:
 //  1. A Frontier-like virtual machine is described (simnet).
-//  2. Four rank threads are spawned (simmpi); each builds its slice of the
+//  2. Four rank fibers are started (simmpi); each builds its slice of the
 //     velocity/configuration grid, the collisional constant tensor (cmat),
 //     and a random initial perturbation.
 //  3. The solver advances two reporting intervals: RK4 streaming with

@@ -102,7 +102,7 @@ std::string snapshot_dirname(std::int64_t interval);
 
 // --- writer -----------------------------------------------------------------
 
-/// Host-side snapshot coordinator shared by every rank thread of one job.
+/// Host-side snapshot coordinator shared by every rank fiber of one job.
 /// Each rank calls add_shard() when it crosses a checkpoint boundary; the
 /// LAST rank to register a given interval writes the manifest and atomically
 /// renames the staging directory into place. Deliberately not an MPI

@@ -38,34 +38,36 @@ void InvariantMonitor::observe(const Report& r) {
     return;
   }
   Inflight& rec = it->second;
-  const std::string where = describe(r.context, r.seq, r.comm_label);
+  // Formatted only when a check fails: this runs for every member of every
+  // collective, under the run-wide lock.
+  const auto where = [&r] { return describe(r.context, r.seq, r.comm_label); };
   if (rec.kind != r.kind) {
     throw InvariantViolation(strprintf(
         "invariant violation: %s: rank %d entered %s but rank %d entered %s "
         "at the same sequence number — members disagree on the collective "
         "schedule",
-        where.c_str(), rec.first_rank, trace_kind_name(rec.kind), r.world_rank,
-        trace_kind_name(r.kind)));
+        where().c_str(), rec.first_rank, trace_kind_name(rec.kind),
+        r.world_rank, trace_kind_name(r.kind)));
   }
   if (rec.alg != r.alg) {
     throw InvariantViolation(strprintf(
         "invariant violation: %s (%s): rank %d ran algorithm '%s' but rank %d "
         "ran '%s' — members resolved the selector differently",
-        where.c_str(), trace_kind_name(rec.kind), rec.first_rank,
+        where().c_str(), trace_kind_name(rec.kind), rec.first_rank,
         coll_alg_name(rec.alg), r.world_rank, coll_alg_name(r.alg)));
   }
   if (rec.participants != r.participants) {
     throw InvariantViolation(strprintf(
         "invariant violation: %s (%s): rank %d sees %d participants but rank "
         "%d sees %d",
-        where.c_str(), trace_kind_name(rec.kind), rec.first_rank,
+        where().c_str(), trace_kind_name(rec.kind), rec.first_rank,
         rec.participants, r.world_rank, r.participants));
   }
   if (rec.payload_bytes != r.payload_bytes) {
     throw InvariantViolation(strprintf(
         "invariant violation: %s (%s): rank %d passed %llu payload bytes but "
         "rank %d passed %llu",
-        where.c_str(), trace_kind_name(rec.kind), rec.first_rank,
+        where().c_str(), trace_kind_name(rec.kind), rec.first_rank,
         static_cast<unsigned long long>(rec.payload_bytes), r.world_rank,
         static_cast<unsigned long long>(r.payload_bytes)));
   }
@@ -74,7 +76,7 @@ void InvariantMonitor::observe(const Report& r) {
         "invariant violation: %s (%s): result buffers are not bitwise "
         "identical across members — rank %d has hash %016llx, rank %d has "
         "%016llx",
-        where.c_str(), trace_kind_name(rec.kind), rec.first_rank,
+        where().c_str(), trace_kind_name(rec.kind), rec.first_rank,
         static_cast<unsigned long long>(rec.result_hash), r.world_rank,
         static_cast<unsigned long long>(r.result_hash)));
   }

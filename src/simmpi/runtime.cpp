@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <thread>
 
 #include "simmpi/coll.hpp"
 #include "simmpi/comm.hpp"
+#include "simmpi/fiber.hpp"
 #include "simmpi/invariant.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -76,7 +76,10 @@ void Proc::stage_upload(std::uint64_t bytes) {
   bucket().compute_s += dt;
 }
 
-void Proc::set_phase(std::string name) { phase_ = std::move(name); }
+void Proc::set_phase(std::string name) {
+  phase_ = std::move(name);
+  bucket_ = nullptr;
+}
 
 Comm Proc::world() { return Comm::make_world(*this); }
 
@@ -290,8 +293,10 @@ RunResult Runtime::run(const std::function<void(Proc&)>& body) {
   runnable_.store(nranks_);
   monitor_ = std::make_unique<InvariantMonitor>();
   const bool faults_on = opts_.faults.active();
-  for (auto& mb : mailboxes_) {
-    mb->begin_run(runnable_, [this] { check_stall(); });
+  detail::FiberScheduler fibers(nranks_);
+  for (int r = 0; r < nranks_; ++r) {
+    mailboxes_[r]->begin_run(runnable_, [this] { check_stall(); },
+                             fibers.fiber(r));
   }
 
   std::vector<Proc> procs(static_cast<size_t>(nranks_));
@@ -309,24 +314,19 @@ RunResult Runtime::run(const std::function<void(Proc&)>& body) {
   }
 
   procs_ = &procs;
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(nranks_));
-  for (int r = 0; r < nranks_; ++r) {
-    threads.emplace_back([this, &body, &procs, r] {
-      try {
-        body(procs[r]);
-      } catch (...) {
-        {
-          const std::scoped_lock lock(err_mu_);
-          if (!first_error_) first_error_ = std::current_exception();
-        }
-        aborted_.store(true);
-        for (auto& mb : mailboxes_) mb->abort();
+  fibers.run([this, &body, &procs](int r) {
+    try {
+      body(procs[r]);
+    } catch (...) {
+      {
+        const std::scoped_lock lock(err_mu_);
+        if (!first_error_) first_error_ = std::current_exception();
       }
-      if (runnable_.fetch_sub(1) == 1) check_stall();
-    });
-  }
-  for (auto& t : threads) t.join();
+      aborted_.store(true);
+      for (auto& mb : mailboxes_) mb->abort();
+    }
+    if (runnable_.fetch_sub(1) == 1) check_stall();
+  });
   procs_ = nullptr;
   if (first_error_) std::rethrow_exception(first_error_);
   if (opts_.check_invariants) monitor_->final_check();

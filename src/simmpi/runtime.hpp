@@ -1,8 +1,9 @@
-// Simulated MPI runtime: spawns one OS thread per rank, gives each a
-// virtual clock driven by the simnet cost model, and collects per-rank
-// statistics. Real data moves between ranks (small test/physics grids), or
-// "virtual payloads" carrying only byte counts (paper-scale model runs) —
-// both follow the identical message schedule.
+// Simulated MPI runtime: runs each rank as a fiber (fiber.hpp) on a few
+// worker threads, gives each a virtual clock driven by the simnet cost
+// model, and collects per-rank statistics. Real data moves between ranks
+// (small test/physics grids), or "virtual payloads" carrying only byte
+// counts (paper-scale model runs) — both follow the identical message
+// schedule.
 #pragma once
 
 #include <atomic>
@@ -32,7 +33,7 @@ struct Group;
 }  // namespace detail
 
 /// Per-rank execution context handed to the user body. All methods are
-/// called only from that rank's own thread.
+/// called only from that rank's own fiber.
 class Proc {
  public:
   [[nodiscard]] int world_rank() const { return rank_; }
@@ -125,7 +126,12 @@ class Proc {
   friend class Runtime;
   friend class Comm;
 
-  PhaseStats& bucket() { return stats_[phase_]; }
+  /// The current phase's stats, created on the first charge so a phase
+  /// that is set but never charged does not appear in the results.
+  PhaseStats& bucket() {
+    if (bucket_ == nullptr) bucket_ = &stats_[phase_];
+    return *bucket_;
+  }
 
   /// Apply straggler slowdown + jitter to a compute-side charge; returns
   /// the (possibly stretched) duration and accounts the injected excess.
@@ -141,6 +147,7 @@ class Proc {
   double nic_free_ = 0.0;  ///< when this rank's injection engine frees up
   std::string phase_ = "default";
   std::map<std::string, PhaseStats> stats_;
+  PhaseStats* bucket_ = nullptr;  ///< stats_[phase_] once charged
 
   /// Cached world group so repeated world() calls share one collective
   /// sequence counter (keeps (context, seq) unique within a run).
@@ -192,7 +199,7 @@ struct RuntimeOptions {
   std::shared_ptr<const CollSelector> coll_selector;
 };
 
-/// Owns mailboxes and rank threads for one simulated job.
+/// Owns mailboxes and rank fibers for one simulated job.
 class Runtime {
  public:
   /// `nranks` may be smaller than the machine's total rank slots (partial
@@ -200,11 +207,12 @@ class Runtime {
   Runtime(net::MachineSpec spec, int nranks, RuntimeOptions opts = {});
   ~Runtime();
 
-  /// Execute `body` on every rank (one OS thread each); returns per-rank
-  /// stats and the trace. Rethrows the first rank exception, if any —
-  /// including RankFailure (fault-plan kill), DeadlockError (the last
-  /// runnable rank blocked or exited while another rank still waits in a
-  /// receive), and InvariantViolation (collective disagreement).
+  /// Execute `body` on every rank (one fiber each, multiplexed over
+  /// min(ranks, CPUs) worker threads); returns per-rank stats and the
+  /// trace. Rethrows the first rank exception, if any — including
+  /// RankFailure (fault-plan kill), DeadlockError (the last runnable rank
+  /// blocked or exited while another rank still waits in a receive), and
+  /// InvariantViolation (collective disagreement).
   RunResult run(const std::function<void(Proc&)>& body);
 
   [[nodiscard]] int nranks() const { return nranks_; }

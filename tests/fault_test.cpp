@@ -405,7 +405,7 @@ TEST(Deadlock, QuietOnHealthyRuns) {
 }
 
 TEST(Deadlock, QuietOnOversubscribedHealthyRun) {
-  // Many more rank threads than cores: ranks block and wake constantly, and
+  // Many more rank fibers than cores: ranks block and wake constantly, and
   // the runnable count touches low values often without reaching zero.
   constexpr int kRanks = 64;
   EXPECT_NO_THROW(run_simulation(net::testbox(16, 4), kRanks, [](Proc& p) {

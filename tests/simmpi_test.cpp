@@ -1,17 +1,23 @@
 // Simulated-MPI runtime tests: p2p semantics, every collective against a
-// serial reference, communicator splitting, virtual-time behaviour, and the
-// participant-count scaling the XGYRO paper relies on.
+// serial reference, communicator splitting, virtual-time behaviour, the
+// participant-count scaling the XGYRO paper relies on, and the rank fibers
+// (a 2048-rank job against goldens, errors and deadlocks across workers,
+// stack size).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <set>
+#include <string>
 
 #include "simmpi/comm.hpp"
 #include "simmpi/runtime.hpp"
 #include "simmpi/traffic.hpp"
 #include "simnet/machine.hpp"
+#include "simmpi/fault.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -775,6 +781,177 @@ TEST(Runtime, PhaseAccountingSeparatesCommAndCompute) {
     EXPECT_DOUBLE_EQ(r.phases.at("coll").comm_s, 0.0);
   }
   EXPECT_GT(res.phase_total("str_comm").bytes_sent, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Rank fibers: results are a pure function of message timestamps however the
+// fibers are spread over the worker threads.
+
+/// The 256-node `node_scaling` shape on virtual payloads: 2048 ranks, a
+/// per-node AllToAll and a cross-node AllReduce per step, with rank-skewed
+/// compute so the arrivals interleave.
+RunResult node_scaling_shape_job() {
+  const auto machine = net::frontier_like(256);
+  return run_simulation(machine, machine.total_ranks(), [](Proc& p) {
+    auto world = p.world();
+    const int rpn = p.placement().spec().ranks_per_node;
+    auto node = world.split(p.world_rank() / rpn, p.world_rank(), "node");
+    auto column = world.split(p.world_rank() % rpn, p.world_rank(), "column");
+    for (int step = 0; step < 2; ++step) {
+      p.set_phase("str_comm");
+      column.allreduce_virtual(std::uint64_t{1} << 20);
+      p.set_phase("str");
+      p.kernel(2.0e9, 1.0e9);
+      p.set_phase("nl_comm");
+      node.alltoall_virtual(std::uint64_t{64} << 10);
+      p.set_phase("nl");
+      p.compute(1.0e9 * (1 + p.world_rank() % 3));
+    }
+    p.set_phase("never_charged");
+  });
+}
+
+/// FNV-1a over every rank's final time and phase stats, doubles by bits.
+std::uint64_t stats_digest(const RunResult& res) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](const void* data, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) h = (h ^ b[i]) * 1099511628211ULL;
+  };
+  const auto mix_u64 = [&mix](std::uint64_t v) { mix(&v, sizeof v); };
+  for (const auto& r : res.ranks) {
+    mix_u64(static_cast<std::uint64_t>(r.world_rank));
+    mix_u64(std::bit_cast<std::uint64_t>(r.final_time_s));
+    for (const auto& [name, ps] : r.phases) {
+      mix(name.data(), name.size());
+      mix_u64(std::bit_cast<std::uint64_t>(ps.comm_s));
+      mix_u64(std::bit_cast<std::uint64_t>(ps.compute_s));
+      mix_u64(ps.bytes_sent);
+      mix_u64(ps.msgs_sent);
+    }
+  }
+  return h;
+}
+
+TEST(Fibers, NodeScalingShapeMatchesGoldenAndRepeatsBitwise) {
+  const auto a = node_scaling_shape_job();
+  const auto b = node_scaling_shape_job();
+  ASSERT_EQ(a.ranks.size(), 2048u);
+  // Goldens from the thread-per-rank runtime this fiber runtime replaced.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.makespan_s), 0x3f78338578006b06ULL)
+      << a.makespan_s;
+  EXPECT_EQ(stats_digest(a), 0xcc7e4ac8b6e03b81ULL);
+  EXPECT_EQ(a.phase_total("nl_comm").msgs_sent, 28672u);
+  EXPECT_EQ(a.phase_total("str_comm").msgs_sent, 65536u);
+  EXPECT_EQ(a.ranks.front().phases.count("never_charged"), 0u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(b.makespan_s),
+            std::bit_cast<std::uint64_t>(a.makespan_s));
+  EXPECT_EQ(stats_digest(b), stats_digest(a));
+  EXPECT_EQ(a.collectives_checked, 530u);
+  EXPECT_EQ(b.collectives_checked, a.collectives_checked);
+}
+
+TEST(Fibers, RankErrorRethrownWhileOtherWorkersWait) {
+  // The thrower is the last rank, so it sits on the last worker; every other
+  // rank, on every worker, is parked waiting for it when it throws.
+  constexpr int kRanks = 64;
+  try {
+    run_simulation(net::testbox(8, 8), kRanks, [](Proc& p) {
+      auto world = p.world();
+      world.barrier();
+      if (p.world_rank() == kRanks - 1) {
+        p.advance(1.0);
+        throw Error("rank 63 exploded");
+      }
+      int v = 0;
+      world.recv(std::span<int>(&v, 1), kRanks - 1, /*tag=*/5);
+    });
+    ADD_FAILURE() << "the rank error was not rethrown";
+  } catch (const DeadlockError& d) {
+    ADD_FAILURE() << "rank error surfaced as a deadlock: " << d.what();
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "rank 63 exploded");
+  }
+}
+
+struct DeadlockPair {
+  const char* name;
+  int a;
+  int b;
+};
+
+class FiberDeadlockP : public ::testing::TestWithParam<DeadlockPair> {};
+
+TEST_P(FiberDeadlockP, ReportsBothBlockedRanks) {
+  // 256 ranks: rank r runs on worker r·W/256, so ranks 0 and 1 share a
+  // worker (W <= 128) and ranks 0 and 255 do not (W >= 2).
+  constexpr int kRanks = 256;
+  const auto pair = GetParam();
+  try {
+    run_simulation(net::testbox(32, 8), kRanks, [pair](Proc& p) {
+      const int r = p.world_rank();
+      if (r != pair.a && r != pair.b) return;
+      p.set_phase("cycle");
+      p.advance(r == pair.a ? 0.25 : 0.5);
+      auto world = p.world();
+      const int peer = r == pair.a ? pair.b : pair.a;
+      int v = r;
+      world.recv(std::span<int>(&v, 1), peer, /*tag=*/3);
+      world.send(std::span<const int>(&v, 1), peer, /*tag=*/3);
+    });
+    ADD_FAILURE() << "no DeadlockError";
+  } catch (const DeadlockError& d) {
+    ASSERT_EQ(d.blocked().size(), 2u);
+    const auto& first = d.blocked()[0];
+    const auto& second = d.blocked()[1];
+    EXPECT_EQ(first.world_rank, pair.a);
+    EXPECT_EQ(first.waiting_src_world, pair.b);
+    EXPECT_DOUBLE_EQ(first.virtual_time_s, 0.25);
+    EXPECT_EQ(second.world_rank, pair.b);
+    EXPECT_EQ(second.waiting_src_world, pair.a);
+    EXPECT_DOUBLE_EQ(second.virtual_time_s, 0.5);
+    for (const auto& b : d.blocked()) {
+      EXPECT_EQ(b.waiting_tag, 3);
+      EXPECT_EQ(b.phase, "cycle");
+      EXPECT_EQ(b.mailbox_pending, 0u);
+    }
+    const std::string what = d.what();
+    EXPECT_NE(what.find("2 rank(s) blocked"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank " + std::to_string(pair.b) + ": phase 'cycle'"),
+              std::string::npos)
+        << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workers, FiberDeadlockP,
+    ::testing::Values(DeadlockPair{"SameWorker", 0, 1},
+                      DeadlockPair{"AcrossWorkers", 0, 255}),
+    [](const ::testing::TestParamInfo<DeadlockPair>& info) {
+      return std::string(info.param.name);
+    });
+
+/// Touch a 1 MiB stack array; returns a checksum so it is not elided.
+[[gnu::noinline]] unsigned touch_one_mib_of_stack(int seed) {
+  volatile unsigned char buf[1 << 20];
+  for (size_t i = 0; i < sizeof(buf); i += 256) {
+    buf[i] = static_cast<unsigned char>(i + static_cast<size_t>(seed));
+  }
+  unsigned sum = 0;
+  for (size_t i = 0; i < sizeof(buf); i += 256) sum += buf[i];
+  return sum;
+}
+
+TEST(Fibers, RankBodyMayUseOneMibOfStack) {
+  std::vector<unsigned> sums(8);
+  run_simulation(small_machine(8), 8, [&sums](Proc& p) {
+    sums[static_cast<size_t>(p.world_rank())] =
+        touch_one_mib_of_stack(p.world_rank());
+    p.world().barrier();
+  });
+  for (int r = 0; r < 8; ++r) {
+    EXPECT_EQ(sums[static_cast<size_t>(r)], touch_one_mib_of_stack(r));
+  }
 }
 
 }  // namespace
