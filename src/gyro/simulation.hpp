@@ -201,7 +201,7 @@ class Simulation {
   std::vector<tensor::Tensor3Z> coll_states_;
   std::unique_ptr<collision::CollisionTensor> cmat_;
   /// Pack/unpack panel for the batched collision apply: two nv×k row-major
-  /// panels (input and output), k = n_sims_sharing.
+  /// panels (input and output), k = n_sims_sharing. Real mode only.
   std::vector<cplx> coll_scratch_;
 
   // nonlinear-phase objects

@@ -105,7 +105,7 @@ void Fiber::entry(unsigned hi, unsigned lo) {
 #endif
   (*self->body_)(self->index_);
   self->done_ = true;
-  self->switch_to_scheduler();  // never resumed
+  self->park();  // never resumed
 }
 
 void Fiber::make_context() {
@@ -120,7 +120,7 @@ void Fiber::make_context() {
               static_cast<unsigned>(addr & 0xffffffffU));
 }
 
-void Fiber::switch_to_scheduler() {
+void Fiber::park() {
   Worker& w = *worker_;
 #ifdef XG_ASAN_FIBERS
   // A finished fiber passes no save slot, which frees its fake stack.
@@ -135,8 +135,6 @@ void Fiber::switch_to_scheduler() {
   __sanitizer_finish_switch_fiber(fake_stack_, &w.stack_bottom, &w.stack_size);
 #endif
 }
-
-void Fiber::park() { switch_to_scheduler(); }
 
 void Fiber::wake() {
   Worker& w = *worker_;

@@ -54,7 +54,6 @@ class Fiber {
 
   static void entry(unsigned hi, unsigned lo);
   void make_context();
-  void switch_to_scheduler();
 
   ucontext_t ctx_{};
   Worker* worker_ = nullptr;

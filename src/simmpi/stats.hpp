@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,15 +14,53 @@
 
 namespace xg::mpi {
 
+/// Per-destination byte counters (world rank → bytes), a std::map that is
+/// allocated on first use. Most runs record no traffic, and every rank keeps
+/// one PhaseStats per phase, so the empty case costs one pointer.
+class ByteCounters {
+ public:
+  using Map = std::map<int, std::uint64_t>;
+
+  ByteCounters() = default;
+  ByteCounters(const ByteCounters& o)
+      : map_(o.map_ ? std::make_unique<Map>(*o.map_) : nullptr) {}
+  ByteCounters& operator=(const ByteCounters& o) {
+    if (this != &o) map_ = o.map_ ? std::make_unique<Map>(*o.map_) : nullptr;
+    return *this;
+  }
+  ByteCounters(ByteCounters&&) noexcept = default;
+  ByteCounters& operator=(ByteCounters&&) noexcept = default;
+  ~ByteCounters() = default;
+
+  std::uint64_t& operator[](int dst) {
+    if (!map_) map_ = std::make_unique<Map>();
+    return (*map_)[dst];
+  }
+  [[nodiscard]] bool empty() const { return !map_ || map_->empty(); }
+  [[nodiscard]] Map::const_iterator begin() const {
+    return map_ ? map_->cbegin() : empty_map().cbegin();
+  }
+  [[nodiscard]] Map::const_iterator end() const {
+    return map_ ? map_->cend() : empty_map().cend();
+  }
+
+ private:
+  static const Map& empty_map() {
+    static const Map empty;
+    return empty;
+  }
+  std::unique_ptr<Map> map_;
+};
+
 /// Virtual-time and traffic totals for one named phase on one rank.
 struct PhaseStats {
   double comm_s = 0.0;     ///< time spent blocked in p2p/collective calls
   double compute_s = 0.0;  ///< time charged via Proc::compute
   std::uint64_t bytes_sent = 0;
   std::uint64_t msgs_sent = 0;
-  /// Per-destination byte counters (world rank → bytes). Only populated
-  /// when RuntimeOptions::enable_traffic is set; see simmpi/traffic.hpp.
-  std::map<int, std::uint64_t> bytes_to;
+  /// Only populated when RuntimeOptions::enable_traffic is set; see
+  /// simmpi/traffic.hpp.
+  ByteCounters bytes_to;
 
   PhaseStats& operator+=(const PhaseStats& o) {
     comm_s += o.comm_s;
