@@ -17,6 +17,7 @@
 #include "util/format.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #define XG_ASAN_FIBERS 1
 #endif
@@ -30,6 +31,7 @@ namespace xg::mpi::detail {
 namespace {
 
 constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+constexpr std::size_t kCachedStacks = 256;
 
 int usable_cpus() {
   cpu_set_t set;
@@ -38,6 +40,69 @@ int usable_cpus() {
     return std::max(1, CPU_COUNT(&set));
   }
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
+std::size_t page_bytes() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+/// Stacks of finished runs, reused by later runs. A fresh stack costs a
+/// page fault for each page a rank touches and an munmap when the run ends
+/// (about 30 us per rank on a 4-core VM, more than a small run's own
+/// work), so up to kCachedStacks stay mapped and populated between runs.
+class StackCache {
+ public:
+  /// The lowest usable address of a stack with a guard page below it.
+  char* take() {
+    {
+      const std::scoped_lock lock(mu_);
+      if (!free_.empty()) {
+        char* stack = free_.back();
+        free_.pop_back();
+#ifdef XG_ASAN_FIBERS
+        // Frames the last fiber never returned from leave poisoned redzones.
+        __asan_unpoison_memory_region(stack, kStackBytes);
+#endif
+        return stack;
+      }
+    }
+    const std::size_t page = page_bytes();
+    void* map = mmap(nullptr, page + kStackBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                     -1, 0);
+    if (map == MAP_FAILED) {
+      throw Error(strprintf("simmpi: cannot map a rank stack: %s",
+                            std::strerror(errno)));
+    }
+    if (mprotect(map, page, PROT_NONE) != 0) {
+      const int err = errno;
+      munmap(map, page + kStackBytes);
+      throw Error(strprintf("simmpi: cannot protect a rank stack guard: %s",
+                            std::strerror(err)));
+    }
+    return static_cast<char*>(map) + page;
+  }
+
+  void give(char* stack) {
+    {
+      const std::scoped_lock lock(mu_);
+      if (free_.size() < kCachedStacks) {
+        free_.push_back(stack);
+        return;
+      }
+    }
+    munmap(stack - page_bytes(), page_bytes() + kStackBytes);
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<char*> free_;
+};
+
+StackCache& stack_cache() {
+  static StackCache cache;
+  return cache;
 }
 
 }  // namespace
@@ -90,7 +155,7 @@ struct Worker {
 };
 
 Fiber::~Fiber() {
-  if (mapping_ != nullptr) munmap(mapping_, mapping_bytes_);
+  if (stack_ != nullptr) stack_cache().give(stack_);
 #ifdef XG_TSAN_FIBERS
   if (sanitizer_fiber_ != nullptr) __tsan_destroy_fiber(sanitizer_fiber_);
 #endif
@@ -155,27 +220,13 @@ FiberScheduler::FiberScheduler(int nfibers) {
   for (int w = 0; w < nworkers; ++w) {
     workers_.push_back(std::make_unique<Worker>());
   }
-  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   fibers_.reserve(static_cast<size_t>(nfibers));
   for (int r = 0; r < nfibers; ++r) {
     auto f = std::make_unique<Fiber>();
     f->index_ = r;
     const auto w = static_cast<std::int64_t>(r) * nworkers / nfibers;
     f->worker_ = workers_[static_cast<size_t>(w)].get();
-    void* map = mmap(nullptr, page + kStackBytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
-                     -1, 0);
-    if (map == MAP_FAILED) {
-      throw Error(strprintf("simmpi: cannot map a rank stack: %s",
-                            std::strerror(errno)));
-    }
-    f->mapping_ = map;
-    f->mapping_bytes_ = page + kStackBytes;
-    if (mprotect(map, page, PROT_NONE) != 0) {
-      throw Error(strprintf("simmpi: cannot protect a rank stack guard: %s",
-                            std::strerror(errno)));
-    }
-    f->stack_ = static_cast<char*>(map) + page;
+    f->stack_ = stack_cache().take();
     f->make_context();
 #ifdef XG_TSAN_FIBERS
     f->sanitizer_fiber_ = __tsan_create_fiber(0);

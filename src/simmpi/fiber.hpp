@@ -1,6 +1,7 @@
 // Fibers for simulated ranks. Each rank runs on its own ucontext stack
 // (8 MiB reserved with MAP_NORESERVE, like a pthread default, above a
-// PROT_NONE guard page). The fibers of one run are multiplexed over
+// PROT_NONE guard page). Up to 256 stacks stay mapped between runs for
+// reuse, as glibc caches thread stacks. The fibers of one run are multiplexed over
 // W = min(ranks, CPUs this process may run on) worker threads created for
 // that run. Fiber r is pinned to worker r·W/n, so a fiber never migrates
 // and contiguous ranks (one node, one ensemble member) share a worker.
@@ -60,8 +61,6 @@ class Fiber {
   const std::function<void(int)>* body_ = nullptr;
   int index_ = -1;
   bool done_ = false;
-  void* mapping_ = nullptr;  ///< guard page + stack
-  std::size_t mapping_bytes_ = 0;
   char* stack_ = nullptr;  ///< lowest usable stack address
   void* sanitizer_fiber_ = nullptr;  ///< TSan fiber handle
   void* fake_stack_ = nullptr;       ///< ASan fake-stack save slot
