@@ -244,13 +244,11 @@ void FiberScheduler::run(const std::function<void(int)>& body) {
     f->worker_->queue.push_back(f.get());
     f->worker_->live += 1;
   }
-  // Worker 0 runs on the calling thread, which would otherwise only wait.
   std::vector<std::thread> threads;
-  threads.reserve(workers_.size() - 1);
-  for (size_t w = 1; w < workers_.size(); ++w) {
-    threads.emplace_back([worker = workers_[w].get()] { worker->loop(); });
+  threads.reserve(workers_.size());
+  for (auto& worker : workers_) {
+    threads.emplace_back([w = worker.get()] { w->loop(); });
   }
-  workers_.front()->loop();
   for (auto& t : threads) t.join();
 }
 
