@@ -1,9 +1,8 @@
-#include <cstring>
 #include "gyro/simulation.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <cstring>
 
 #include "fft/fft.hpp"
 #include "util/error.hpp"
@@ -189,28 +188,49 @@ void Simulation::build_tables() {
 
 void Simulation::build_cmat() {
   const int nv = input_.nv();
+  const int n_cells = n_coll_cells();
+  const bool real = mode_ == Mode::kReal;
   // cmat depends on the cell only through k_perp², and the spectral geometry
   // makes many cells degenerate (ky = 0 rows, ±kx symmetry). Memoize on the
   // k_perp² bit pattern: only the first cell of each equivalence class pays
   // the O(nv³) LU build; the rest copy its fp32 matrix bit-identically.
-  std::unordered_map<std::uint64_t, int> built;  // kperp2 bits -> first cell
-  std::vector<int> copy_from(static_cast<size_t>(n_coll_cells()), -1);
-  std::vector<double> cell_kperp2(static_cast<size_t>(n_coll_cells()), 0.0);
+  // The memo is a flat open-addressing table (linear probing, load ≤ 1/2)
+  // whose empty slots hold an all-ones NaN pattern no finite k_perp² has.
+  // Model mode only counts the classes, so it keeps the keys alone.
+  constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  int slot_bits = 1;
+  while ((size_t{1} << slot_bits) < 2 * static_cast<size_t>(n_cells)) {
+    ++slot_bits;
+  }
+  const size_t n_slots = size_t{1} << slot_bits;
+  const size_t mask = n_slots - 1;
+  std::vector<std::uint64_t> keys(n_slots, kEmpty);
+  std::vector<int> first_cell(real ? n_slots : 0);
+  std::vector<int> copy_from(real ? static_cast<size_t>(n_cells) : 0, -1);
+  std::vector<double> cell_kperp2(real ? static_cast<size_t>(n_cells) : 0);
   int n_unique = 0;
   for (int a = 0; a < nc_loc_coll(); ++a) {
     const int ic = global_ic_of_coll_cell(a);
     for (int itl = 0; itl < nt_loc(); ++itl) {
       const int cell = a * nt_loc() + itl;
       const double kperp2 = geometry_.kperp2(ic, it_global(itl));
-      cell_kperp2[cell] = kperp2;
+      XG_ASSERT(std::isfinite(kperp2));
       std::uint64_t bits;
       std::memcpy(&bits, &kperp2, sizeof bits);
-      const auto [slot, inserted] = built.emplace(bits, cell);
-      if (inserted) {
-        ++n_unique;
-      } else {
-        copy_from[cell] = slot->second;
+      // Fibonacci hashing: the product's top bits depend on every key bit.
+      const std::uint64_t h = bits * 0x9e3779b97f4a7c15ULL;
+      size_t slot = static_cast<size_t>(h >> (64 - slot_bits));
+      while (keys[slot] != kEmpty && keys[slot] != bits) {
+        slot = (slot + 1) & mask;
       }
+      if (keys[slot] == kEmpty) {
+        keys[slot] = bits;
+        ++n_unique;
+        if (real) first_cell[slot] = cell;
+      } else if (real) {
+        copy_from[cell] = first_cell[slot];
+      }
+      if (real) cell_kperp2[cell] = kperp2;
     }
   }
   // cmat is constructed on the host (LU factorizations for the unique cells
@@ -221,9 +241,9 @@ void Simulation::build_cmat() {
   proc_->compute(scattering_flops +
                  static_cast<double>(n_unique) *
                      collision::CmatRecipe::build_flops_per_cell(nv));
-  proc_->stage_upload(static_cast<std::uint64_t>(nv) * nv * n_coll_cells() *
+  proc_->stage_upload(static_cast<std::uint64_t>(nv) * nv * n_cells *
                       sizeof(float));
-  if (mode_ == Mode::kModel) {
+  if (!real) {
     cmat_ = std::make_unique<collision::CollisionTensor>(nv, 0);
     return;
   }
@@ -232,8 +252,8 @@ void Simulation::build_cmat() {
   recipe.dt = input_.dt;
   const la::MatrixD scattering =
       collision::build_scattering_operator(*vgrid_, recipe.params);
-  cmat_ = std::make_unique<collision::CollisionTensor>(nv, n_coll_cells());
-  for (int cell = 0; cell < n_coll_cells(); ++cell) {
+  cmat_ = std::make_unique<collision::CollisionTensor>(nv, n_cells);
+  for (int cell = 0; cell < n_cells; ++cell) {
     if (copy_from[cell] >= 0) {
       cmat_->copy_cell(cell, copy_from[cell]);
     } else {

@@ -3,6 +3,7 @@
 // state evolution, and real↔model timing equivalence.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -356,21 +357,52 @@ TEST(Simulation, PipelinedCollisionTransposeIsBitIdentical) {
   EXPECT_EQ(in.cmat_fingerprint(), Input::small_test(2).cmat_fingerprint());
 }
 
-TEST(Simulation, MemoizedCmatBuildMatchesDirectBuild) {
-  // build_cmat memoizes the per-cell LU on the kperp2 bit pattern; the
-  // resulting tensor must be bit-identical (same fingerprint) to building
-  // every cell directly from the recipe, and the geometry must actually
-  // contain degenerate cells so the memo path is exercised.
-  const Input in = Input::small_test(2);
-  const auto d = Decomposition::choose(in, 1);
-  std::uint64_t sim_fp = 0;
-  mpi::run_simulation(net::testbox(1, 1), 1, [&](mpi::Proc& p) {
-    auto layout = make_cgyro_layout(p.world(), d);
-    Simulation sim(in, d, std::move(layout), p, Mode::kReal);
-    sim.initialize();
-    sim_fp = sim.cmat().fingerprint();
-  });
+/// One rank's collision slice: local cell a·nt + itl is the global cell
+/// (ic0 + a, it0 + itl).
+struct CollSlice {
+  int ic0 = 0, nc = 0, it0 = 0, nt = 0;
+};
 
+/// What initialize() left on each world rank.
+struct InitOnly {
+  mpi::RunResult run;
+  std::vector<CollSlice> slices;
+  std::vector<std::uint64_t> cmat_fp;  ///< CollisionTensor::fingerprint()
+};
+
+/// Initialize k members of `in` sharing cmat, each decomposed as `d`, on
+/// k·pv·pt ranks of one testbox node (the CGYRO layout when k = 1).
+InitOnly initialize_only(const Input& in, const Decomposition& d, int k,
+                         Mode mode) {
+  const int nranks = k * d.nranks();
+  InitOnly out;
+  out.slices.resize(static_cast<size_t>(nranks));
+  out.cmat_fp.resize(static_cast<size_t>(nranks));
+  out.run = mpi::run_simulation(
+      net::testbox(1, nranks), nranks, [&](mpi::Proc& p) {
+        int sim_index = 0;
+        auto layout = k == 1 ? make_cgyro_layout(p.world(), d)
+                             : xgyro::make_xgyro_layout(p.world(), k, d,
+                                                        &sim_index);
+        Simulation sim(in, d, std::move(layout), p, mode);
+        sim.initialize();
+        const auto r = static_cast<size_t>(p.world_rank());
+        out.slices[r] = {sim.coll_comm().rank() * sim.nc_loc_coll(),
+                         sim.nc_loc_coll(), sim.it_global_offset(),
+                         sim.nt_loc()};
+        out.cmat_fp[r] = sim.cmat().fingerprint();
+      });
+  return out;
+}
+
+TEST(Simulation, MemoizedCmatBuildMatchesDirectBuild) {
+  // build_cmat memoizes the per-cell LU on the kperp2 bit pattern; every
+  // rank's tensor must be bit-identical (same fingerprint) to building each
+  // cell of its collision slice directly from the recipe. One rank holds the
+  // whole grid; k = 2 members at pv = 2 put the slices at non-zero ic
+  // offsets. Degenerate cells must exist, in the k = 2 run at a non-zero
+  // offset, so the memo's copy path is exercised.
+  const Input in = Input::small_test(2);
   const Geometry geo(in);
   const auto grid = in.make_velocity_grid();
   collision::CmatRecipe recipe;
@@ -378,19 +410,96 @@ TEST(Simulation, MemoizedCmatBuildMatchesDirectBuild) {
   recipe.dt = in.dt;
   const auto scattering =
       collision::build_scattering_operator(grid, recipe.params);
-  collision::CollisionTensor ref(in.nv(), in.nc() * in.nt());
-  std::set<double> unique_kperp2;
-  for (int ic = 0; ic < in.nc(); ++ic) {
-    for (int it = 0; it < in.nt(); ++it) {
-      const double kperp2 = geo.kperp2(ic, it);
-      unique_kperp2.insert(kperp2);
-      ref.set_cell(ic * in.nt() + it,
-                   recipe.build_cell(grid, scattering, kperp2));
+  for (const auto& [k, d] : {std::pair{1, Decomposition{1, 1}},
+                             std::pair{2, Decomposition{2, 2}}}) {
+    const auto init = initialize_only(in, d, k, Mode::kReal);
+    int offset_ranks_with_copies = 0;
+    for (size_t r = 0; r < init.slices.size(); ++r) {
+      const CollSlice& s = init.slices[r];
+      collision::CollisionTensor ref(in.nv(), s.nc * s.nt);
+      std::set<double> unique_kperp2;
+      for (int a = 0; a < s.nc; ++a) {
+        for (int itl = 0; itl < s.nt; ++itl) {
+          const double kperp2 = geo.kperp2(s.ic0 + a, s.it0 + itl);
+          unique_kperp2.insert(kperp2);
+          ref.set_cell(a * s.nt + itl,
+                       recipe.build_cell(grid, scattering, kperp2));
+        }
+      }
+      const bool has_copies =
+          unique_kperp2.size() < static_cast<size_t>(s.nc) * s.nt;
+      if (k == 1) {
+        ASSERT_TRUE(has_copies);  // degeneracy exists
+      }
+      if (s.ic0 > 0 && has_copies) ++offset_ranks_with_copies;
+      EXPECT_EQ(init.cmat_fp[r], ref.fingerprint()) << "k=" << k
+                                                    << " rank=" << r;
+    }
+    if (k > 1) {
+      EXPECT_GT(offset_ranks_with_copies, 0);
     }
   }
-  ASSERT_LT(unique_kperp2.size(),
-            static_cast<size_t>(in.nc()) * in.nt());  // degeneracy exists
-  EXPECT_EQ(sim_fp, ref.fingerprint());
+}
+
+TEST(Simulation, ModelModeCmatChargeCountsDistinctKperp2) {
+  // Model mode builds no cmat but charges, like real mode, one LU per
+  // distinct k_perp² bit pattern in the rank's collision slice. Recount the
+  // classes with a std::set, replay initialize()'s compute charges on a bare
+  // rank body, and every rank's `init` compute time must match bit for bit.
+  // The ir = n_radial/2, it = 0 cells have k_perp² = +0.0 (bit pattern 0), so
+  // a memo that marked its empty slots with 0 would overcount there.
+  struct Case {
+    int n_radial, k, pv, pt;
+  };
+  for (const Case c : {Case{4, 1, 1, 2}, Case{64, 1, 2, 2}, Case{64, 2, 2, 2},
+                       Case{4096, 1, 2, 4}}) {
+    Input in = Input::small_test(2);
+    in.n_radial = c.n_radial;
+    const Decomposition d{c.pv, c.pt};
+    const auto init = initialize_only(in, d, c.k, Mode::kModel);
+    const Geometry geo(in);
+    const int nranks = c.k * d.nranks();
+    std::vector<size_t> n_distinct(static_cast<size_t>(nranks));
+    bool zero_in_a_slice = false;
+    for (int r = 0; r < nranks; ++r) {
+      const CollSlice& s = init.slices[static_cast<size_t>(r)];
+      std::set<std::uint64_t> distinct;
+      for (int a = 0; a < s.nc; ++a) {
+        for (int itl = 0; itl < s.nt; ++itl) {
+          const double kperp2 = geo.kperp2(s.ic0 + a, s.it0 + itl);
+          distinct.insert(std::bit_cast<std::uint64_t>(kperp2));
+        }
+      }
+      zero_in_a_slice = zero_in_a_slice || distinct.contains(0);
+      n_distinct[static_cast<size_t>(r)] = distinct.size();
+    }
+    ASSERT_TRUE(zero_in_a_slice) << "n_radial=" << c.n_radial;
+
+    const int nv = in.nv();
+    const double nv3 = static_cast<double>(nv) * nv * nv;
+    const auto replay = mpi::run_simulation(
+        net::testbox(1, nranks), nranks, [&](mpi::Proc& p) {
+          const auto r = static_cast<size_t>(p.world_rank());
+          const CollSlice& s = init.slices[r];
+          p.set_phase("init");
+          p.kernel(static_cast<double>(nv / d.pv) * in.nc() * s.nt *
+                   ComputeModel{}.init_table_flops_per_elem);
+          p.compute(6.0 * nv3 +
+                    static_cast<double>(n_distinct[r]) *
+                        collision::CmatRecipe::build_flops_per_cell(nv));
+          p.stage_upload(static_cast<std::uint64_t>(nv) * nv * s.nc * s.nt *
+                         sizeof(float));
+        });
+    for (int r = 0; r < nranks; ++r) {
+      const auto& got = init.run.ranks[static_cast<size_t>(r)];
+      const auto& want = replay.ranks[static_cast<size_t>(r)];
+      ASSERT_EQ(got.world_rank, r);
+      EXPECT_EQ(got.phases.at("init").compute_s,
+                want.phases.at("init").compute_s)
+          << "n_radial=" << c.n_radial << " k=" << c.k << " rank=" << r
+          << " distinct=" << n_distinct[static_cast<size_t>(r)];
+    }
+  }
 }
 
 TEST(Simulation, PipelinedCollisionRealModelTimingAgree) {
