@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# host_profile.sh [-n TOP] [-i USEC] -- COMMAND [ARGS...]
+# host_profile.sh [-n TOP] -- COMMAND [ARGS...]
 #
 # Sample where a command spends host CPU time, without perf or any other
 # profiler installed. The script compiles a small SIGPROF sampler with the
 # system C compiler into a temp dir and runs COMMAND under LD_PRELOAD with
-# it. The sampler arms ITIMER_PROF (process CPU time, every USEC
-# microseconds, default 1000) and records the call stack of whichever thread
-# the signal lands on. At exit each process writes its stacks and its
-# /proc/self/maps; child processes started by fork+exec are sampled too.
+# it. The sampler arms ITIMER_PROF (every millisecond of process CPU time)
+# and records the call stack of whichever thread the signal lands on. At
+# exit each process writes its stacks and its /proc/self/maps; child
+# processes started by fork+exec are sampled too.
 # The report maps every frame to a symbol through `nm` and prints the TOP
 # (default 25) symbols by self samples (the interrupted frame) and by
 # inclusive samples (anywhere on the stack, once per sample).
@@ -20,17 +20,15 @@
 set -euo pipefail
 
 TOP=25
-USEC=1000
 while [[ $# -gt 0 ]]; do
   case "$1" in
     -n) TOP=$2; shift 2 ;;
-    -i) USEC=$2; shift 2 ;;
     --) shift; break ;;
     *) break ;;
   esac
 done
 if [[ $# -eq 0 ]]; then
-  echo "usage: host_profile.sh [-n TOP] [-i USEC] -- COMMAND [ARGS...]" >&2
+  echo "usage: host_profile.sh [-n TOP] -- COMMAND [ARGS...]" >&2
   exit 2
 fi
 
@@ -75,9 +73,7 @@ __attribute__((constructor)) static void start(void) {
   sa.sa_sigaction = on_prof;
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
   sigaction(SIGPROF, &sa, NULL);
-  const char* us = getenv("HOST_PROFILE_USEC");
-  const long usec = us ? atol(us) : 1000;
-  struct itimerval it = {{0, usec}, {0, usec}};
+  struct itimerval it = {{0, 1000}, {0, 1000}};
   setitimer(ITIMER_PROF, &it, NULL);
 }
 
@@ -111,7 +107,7 @@ cc -O2 -shared -fPIC -o "$WORK/libsampler.so" "$WORK/sampler.c"
 mkdir "$WORK/out"
 
 status=0
-HOST_PROFILE_DIR="$WORK/out" HOST_PROFILE_USEC="$USEC" \
+HOST_PROFILE_DIR="$WORK/out" \
   LD_PRELOAD="$WORK/libsampler.so${LD_PRELOAD:+:$LD_PRELOAD}" "$@" || status=$?
 
 python3 - "$WORK/out" "$TOP" <<'EOF'
