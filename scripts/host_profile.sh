@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# host_profile.sh [-n TOP] -- COMMAND [ARGS...]
+# host_profile.sh -- COMMAND [ARGS...]
 #
 # Sample where a command spends host CPU time, without perf or any other
 # profiler installed. The script compiles a small SIGPROF sampler with the
@@ -8,9 +8,9 @@
 # and records the call stack of whichever thread the signal lands on. At
 # exit each process writes its stacks and its /proc/self/maps; child
 # processes started by fork+exec are sampled too.
-# The report maps every frame to a symbol through `nm` and prints the TOP
-# (default 25) symbols by self samples (the interrupted frame) and by
-# inclusive samples (anywhere on the stack, once per sample).
+# The report maps every frame to a symbol through `nm` and prints the top 25
+# symbols by self samples (the interrupted frame) and by inclusive samples
+# (anywhere on the stack, once per sample).
 #
 # It measures the host clock only and is not a gate. Build RelWithDebInfo
 # (the default) so symbols are present; inlined functions are charged to
@@ -19,16 +19,9 @@
 #       --workload service_stream --seed 1 --seconds 5
 set -euo pipefail
 
-TOP=25
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    -n) TOP=$2; shift 2 ;;
-    --) shift; break ;;
-    *) break ;;
-  esac
-done
+[[ "${1:-}" == "--" ]] && shift
 if [[ $# -eq 0 ]]; then
-  echo "usage: host_profile.sh [-n TOP] -- COMMAND [ARGS...]" >&2
+  echo "usage: host_profile.sh -- COMMAND [ARGS...]" >&2
   exit 2
 fi
 
@@ -110,10 +103,11 @@ status=0
 HOST_PROFILE_DIR="$WORK/out" \
   LD_PRELOAD="$WORK/libsampler.so${LD_PRELOAD:+:$LD_PRELOAD}" "$@" || status=$?
 
-python3 - "$WORK/out" "$TOP" <<'EOF'
+python3 - "$WORK/out" <<'EOF'
 import bisect, collections, glob, os, struct, subprocess, sys
 
-out_dir, top = sys.argv[1], int(sys.argv[2])
+out_dir = sys.argv[1]
+TOP = 25
 symtabs = {}
 
 def symbols(path):
@@ -200,8 +194,8 @@ for samples in sorted(glob.glob(os.path.join(out_dir, "samples.*"))):
     total += n_proc
 
 for title, counter in (("self", self_count), ("inclusive", incl_count)):
-    print(f"\ntop {top} by {title} samples (of {total}):")
-    for name, n in counter.most_common(top):
+    print(f"\ntop {TOP} by {title} samples (of {total}):")
+    for name, n in counter.most_common(TOP):
         print(f"{100.0 * n / max(total, 1):6.1f}% {n:8d}  {name[:110]}")
 EOF
 exit $status

@@ -23,6 +23,21 @@ Geometry::Geometry(const Input& input)
   }
 }
 
+double Geometry::theta(int ic) const {
+  const int ith = itheta_of(ic);
+  return -std::numbers::pi +
+         2.0 * std::numbers::pi * static_cast<double>(ith) / n_theta_;
+}
+
+double Geometry::kx(int ic, int it) const {
+  // Centered radial mode numbers; shear twist couples kx to theta·ky.
+  const int ir = ir_of(ic);
+  const double p = static_cast<double>(ir - n_radial_ / 2);
+  return dkx_ * p + shear_ * theta(ic) * ky(it);
+}
+
+double Geometry::ky(int it) const { return dky_ * static_cast<double>(it); }
+
 double Geometry::kpar(int ic) const {
   // 1/(qR) scale with a theta modulation (ballooning-style variation).
   const double base = 1.0 / (q_safety_ * 3.0);  // R/a = 3

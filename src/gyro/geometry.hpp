@@ -9,7 +9,6 @@
 // matrix total.
 #pragma once
 
-#include <numbers>
 #include <vector>
 
 #include "gyro/input.hpp"
@@ -28,22 +27,11 @@ class Geometry {
   [[nodiscard]] int itheta_of(int ic) const { return ic % n_theta_; }
 
   /// Poloidal angle θ ∈ [−π, π) of a configuration cell.
-  [[nodiscard]] double theta(int ic) const {
-    return -std::numbers::pi +
-           2.0 * std::numbers::pi * static_cast<double>(itheta_of(ic)) /
-               n_theta_;
-  }
+  [[nodiscard]] double theta(int ic) const;
 
-  /// Radial wavenumber (shear-twisted) and binormal wavenumber. Inline, so
-  /// per-cell loops such as the cmat memo pay no call per k_perp².
-  [[nodiscard]] double kx(int ic, int it) const {
-    // Centered radial mode numbers; shear twist couples kx to theta·ky.
-    const double p = static_cast<double>(ir_of(ic) - n_radial_ / 2);
-    return dkx_ * p + shear_ * theta(ic) * ky(it);
-  }
-  [[nodiscard]] double ky(int it) const {
-    return dky_ * static_cast<double>(it);
-  }
+  /// Radial wavenumber (shear-twisted) and binormal wavenumber.
+  [[nodiscard]] double kx(int ic, int it) const;
+  [[nodiscard]] double ky(int it) const;
 
   [[nodiscard]] double kperp2(int ic, int it) const {
     const double x = kx(ic, it);
