@@ -6,8 +6,10 @@
 // sim-cell applies per second for the scalar CollisionTensor::apply path
 // (each member applied separately, cmat streamed k times per cell) vs the
 // batched apply_batch panel path (cmat streamed once per cell), at
-// k ∈ {1, 4, 16}. Emits one JSON document on stdout — the BENCH_*.json
-// trajectory's collision-kernel series.
+// k ∈ {1, 4, 16}. It also times the one-time shared-cmat build (LU factor
+// plus nv-column solve per cell) at nv = 128, next to the deterministic
+// CmatRecipe::build_flops_per_cell. Emits one JSON document on stdout — the
+// BENCH_*.json trajectory's collision-kernel series.
 //
 // `--smoke` runs a reduced shape, verifies batch/scalar bit-exactness, and
 // exits nonzero on mismatch; it is registered as a ctest so the batched
@@ -115,6 +117,32 @@ Rates measure(const xg::collision::CollisionTensor& t, int k, int reps) {
   return {applies / scalar_s, applies / batch_s};
 }
 
+/// Cells per second of CmatRecipe::build_cell on `g`: the fastest of
+/// `rounds` rounds of `cells` distinct k_perp² values, after a two-cell
+/// warm-up (the best round filters out other tenants of a shared host).
+double measure_build(const xg::vgrid::VelocityGrid& g, int rounds,
+                     int cells) {
+  const xg::collision::CmatRecipe recipe{xg::collision::CollisionParams{},
+                                         0.02};
+  const auto scattering =
+      xg::collision::build_scattering_operator(g, recipe.params);
+  double sink = 0.0;
+  for (int c = 0; c < 2; ++c) {
+    sink += recipe.build_cell(g, scattering, 0.5)(0, 0);
+  }
+  double best_s = 0.0;
+  for (int r = 0; r < rounds; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int c = 0; c < cells; ++c) {
+      sink += recipe.build_cell(g, scattering, 0.01 * c)(0, 0);
+    }
+    const double s = seconds_since(t0);
+    if (r == 0 || s < best_s) best_s = s;
+  }
+  if (sink == 0.12345) std::fputs("", stderr);
+  return cells / best_s;
+}
+
 /// Bit-exactness of the batched panel vs the scalar per-member path.
 bool verify(const xg::collision::CollisionTensor& t, int k) {
   const int nv = t.nv();
@@ -176,9 +204,17 @@ int main(int argc, char** argv) {
                   r.batch_cells_per_s / r.scalar_cells_per_s);
     rows += (rows.empty() ? std::string() : std::string(",\n")) + row;
   }
+  // cmat build at ensemble_real's nv = 128 (2 species × 8 × 8); the smoke
+  // shape builds a few cells of its own small grid.
+  const auto build_grid = smoke ? grid : make_grid(8, 8);
+  const int build_nv = build_grid.nv();
+  const double build_rate = measure_build(build_grid, smoke ? 1 : 6, smoke ? 4 : 16);
   std::printf(
       "{\n  \"bench\": \"collision_apply\",\n  \"mode\": \"%s\",\n"
-      "  \"nv\": %d,\n  \"n_cells\": %d,\n  \"results\": [\n%s\n  ]\n}\n",
-      smoke ? "smoke" : "full", grid.nv(), n_cells, rows.c_str());
+      "  \"nv\": %d,\n  \"n_cells\": %d,\n  \"results\": [\n%s\n  ],\n"
+      "  \"build\": {\"nv\": %d, \"flops_per_cell\": %.6g, "
+      "\"build_cells_per_s\": %.4g}\n}\n",
+      smoke ? "smoke" : "full", grid.nv(), n_cells, rows.c_str(), build_nv,
+      xg::collision::CmatRecipe::build_flops_per_cell(build_nv), build_rate);
   return ok ? 0 : 1;
 }

@@ -2,9 +2,10 @@
 # ci.sh — the full local gate, in the order a reviewer would run it:
 #
 #   1. default preset build + complete ctest tier-1 suite
-#   2. address+UB-sanitized preset build, then the simmpi, coll, fault and
-#      perfmodel tests (the runtime, its collective schedules and the
-#      pricer) run under it
+#   2. address+UB-sanitized preset build, then the simmpi, coll, fault,
+#      perfmodel, la and collision tests (the runtime, its collective
+#      schedules, the pricer, and the raw-pointer LU and cmat kernels at
+#      every panel tail width) run under it
 #   3. thread-sanitized runtime tests (simmpi_test, fault_test, coll_test,
 #      and checkpoint_test, campaign_test, xgyro_test, which run the real
 #      solver rank bodies on the rank fibers; built with -fsanitize=thread
@@ -45,7 +46,8 @@ ctest --preset default
 echo "=== [2/10] sanitized build + runtime tests ==="
 cmake --preset sanitize
 cmake --build --preset sanitize -j "$JOBS"
-ctest --preset sanitize -L '^(simmpi_test|coll_test|fault_test|perfmodel_test)$'
+ctest --preset sanitize \
+  -L '^(simmpi_test|coll_test|fault_test|perfmodel_test|la_test|collision_test)$'
 
 echo "=== [3/10] thread-sanitized runtime tests ==="
 cmake --preset tsan

@@ -202,7 +202,8 @@ la::MatrixD build_implicit_step_matrix(const la::MatrixD& c, double dt) {
     lhs(i, i) += 1.0;
     rhs(i, i) += 1.0;
   }
-  return la::LuFactorization(std::move(lhs)).solve(rhs);
+  la::LuFactorization(std::move(lhs)).solve_in_place(rhs);
+  return rhs;
 }
 
 }  // namespace xg::collision

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "la/cpu.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -39,8 +40,7 @@ template <int W>
   }
 }
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define XG_TENSOR_X86 1
+#ifdef XG_X86_DISPATCH
 /// AVX2 clone of panel_body, dispatched at runtime: the default build targets
 /// baseline x86-64 (SSE2), which halves the usable vector width. target("avx2")
 /// deliberately omits "fma" so the compiler cannot contract the mul+add into a
@@ -53,18 +53,13 @@ template <int W>
                                         double* __restrict ys) {
   panel_body<W>(a, nv, batch, b0, xs, ys);
 }
-
-bool cpu_has_avx2() {
-  static const bool ok = __builtin_cpu_supports("avx2");
-  return ok;
-}
 #endif
 
 template <int W>
 void panel(const float* __restrict a, int nv, int batch, int b0,
            const double* __restrict xs, double* __restrict ys) {
-#ifdef XG_TENSOR_X86
-  if (cpu_has_avx2()) {
+#ifdef XG_X86_DISPATCH
+  if (la::cpu_has_avx2()) {
     panel_avx2<W>(a, nv, batch, b0, xs, ys);
     return;
   }

@@ -1,10 +1,18 @@
 // LU factorization with partial pivoting, solve, and inverse.
 //
-// Used once per simulation to build the implicit collision-step matrix
+// Builds the implicit collision-step matrix
 //   A = (I − Δt/2 C)⁻¹ (I + Δt/2 C)
-// — the "collisional constant tensor" whose per-ensemble sharing is the
-// subject of the paper. Not performance-critical per step (construction is
-// one-time); correctness and stability are what matter.
+// for every cell with a distinct k⊥² — the "collisional constant tensor"
+// whose per-ensemble sharing is the subject of the paper. Not on the
+// per-step path, but it is the shared-cmat setup cost: one nv×nv
+// factorization and an nv-column solve per distinct cell.
+//
+// Both kernels vectorise without reordering any element's arithmetic: the
+// factorization's rank-1 row update runs across fixed-width column chunks,
+// and the matrix solve substitutes whole rows of the right-hand side in
+// fixed-width column panels (running values in vector registers). Each
+// element therefore sees the same subtractions in the same order as the
+// scalar single-vector solve, and the results are bit-identical to it.
 #pragma once
 
 #include <span>
@@ -26,7 +34,11 @@ class LuFactorization {
   /// Solve A x = b; returns x.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 
-  /// Solve A X = B column-block-wise; returns X with B's shape.
+  /// Solve A X = B in place: B is overwritten by X, column for column
+  /// bit-identical to solve(std::span) of that column.
+  void solve_in_place(MatrixD& b) const;
+
+  /// Solve A X = B; returns X with B's shape.
   [[nodiscard]] MatrixD solve(const MatrixD& b) const;
 
   /// Explicit inverse (used to precompute the collision-step operator).

@@ -8,6 +8,7 @@
 
 #include "collision/operator.hpp"
 #include "collision/tensor.hpp"
+#include "gyro/input.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "vgrid/quadrature.hpp"
@@ -386,6 +387,48 @@ TEST(ImplicitStep, ConservesDensityThroughStep) {
     EXPECT_NEAR(g.moment_density(ah, is), g.moment_density(h, is), 1e-10);
     EXPECT_NEAR(g.moment_energy(ah, is), g.moment_energy(h, is), 1e-10);
   }
+}
+
+/// Raw-bit digest of a step matrix: every double's exact bit pattern.
+std::uint64_t step_digest(const la::MatrixD& a) {
+  const auto d = a.data();
+  return Hasher()
+      .i64(a.rows())
+      .i64(a.cols())
+      .bytes(d.data(), d.size() * sizeof(double))
+      .digest();
+}
+
+TEST(ImplicitStep, GoldenDigestPinsOperationOrder) {
+  // Pins the exact bits of the cmat build, so a change to the order of the
+  // LU's floating-point operations fails here and not only in the end-to-end
+  // byte diffs. The grids are the ensemble_real host benchmark's (two
+  // species, 8 energies × 8 pitch angles: nv = 128, four full 32-column
+  // panels) and an nv = 15 grid, solved entirely in the 8-, 4-, 2- and
+  // 1-column tails. The values also depend on libm's erf/exp/pow, so
+  // another C library may legitimately move them.
+  gyro::Input in = gyro::Input::small_test(2);
+  in.n_energy = 8;
+  in.n_xi = 8;
+  in.validate();
+  const auto g = in.make_velocity_grid();
+  ASSERT_EQ(g.nv(), 128);
+  const CmatRecipe recipe{in.collision, in.dt};
+  const auto scat = build_scattering_operator(g, recipe.params);
+  const std::uint64_t golden[] = {0x3bcec1056683a245ull, 0xdb49466f29922db8ull,
+                                  0xcf4e9bbaff901560ull};
+  const double kperp2s[] = {0.0, 0.013, 1.7};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(step_digest(recipe.build_cell(g, scat, kperp2s[i])), golden[i])
+        << "k_perp^2 = " << kperp2s[i];
+  }
+
+  const auto g_odd = make_grid(1, 3, 5);
+  ASSERT_EQ(g_odd.nv(), 15);
+  const CmatRecipe r_odd{CollisionParams{}, 0.05};
+  EXPECT_EQ(step_digest(r_odd.build_cell(
+                g_odd, build_scattering_operator(g_odd, r_odd.params), 0.4)),
+            0x73a77c1cdb73ef28ull);
 }
 
 TEST(Tensor, SetApplyMatchesDoubleGemv) {

@@ -154,16 +154,46 @@ TEST(Lu, PivotingHandlesZeroLeadingDiagonal) {
   EXPECT_NEAR(x[1], 3.0, 1e-14);
 }
 
-TEST(Lu, MatrixSolveMatchesVectorSolve) {
-  const auto a = random_matrix(10, 9, 3.0);
-  const auto b = random_matrix(10, 10);
-  const LuFactorization lu(a);
-  const auto x = lu.solve(b);
-  for (int j = 0; j < 10; ++j) {
-    std::vector<double> col(10);
-    for (int i = 0; i < 10; ++i) col[i] = b(i, j);
+/// Expects column j of `x` to equal solve(column j of `b`) bit for bit.
+void expect_columns_match_vector_solve(const LuFactorization& lu,
+                                       const MatrixD& b, const MatrixD& x) {
+  ASSERT_EQ(x.rows(), b.rows());
+  ASSERT_EQ(x.cols(), b.cols());
+  std::vector<double> col(static_cast<size_t>(b.rows()));
+  int mismatches = 0;
+  for (int j = 0; j < b.cols(); ++j) {
+    for (int i = 0; i < b.rows(); ++i) col[i] = b(i, j);
     const auto xc = lu.solve(col);
-    for (int i = 0; i < 10; ++i) EXPECT_NEAR(x(i, j), xc[i], 1e-12);
+    for (int i = 0; i < b.rows(); ++i) mismatches += !(x(i, j) == xc[i]);
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Lu, MatrixSolveMatchesVectorSolve) {
+  // The multi-RHS solve substitutes whole rows in fixed-width column panels
+  // (32 wide) plus power-of-two tails; each element must still see exactly
+  // the single-vector solve's operations, so the match is bitwise. Column
+  // counts cover one column, a panel minus/plus one, a full panel, a
+  // multi-tail width and a square solve. The matrices are random without
+  // diagonal dominance, so partial pivoting swaps rows at most steps.
+  for (const int n : {1, 5, 33, 128}) {
+    const auto a = random_matrix(n, 9 + n);
+    const LuFactorization lu(a);
+    for (const int m : {1, 31, 32, 33, 37, n}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " m=" << m);
+      Rng rng(static_cast<std::uint64_t>(n) * 100 + m);
+      MatrixD b(n, m);
+      for (auto& v : b.data()) v = rng.uniform(-1.0, 1.0);
+      expect_columns_match_vector_solve(lu, b, lu.solve(b));
+    }
+  }
+}
+
+TEST(Lu, InverseMatchesColumnSolvesOfIdentity) {
+  for (const int n : {1, 5, 33, 128}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    const LuFactorization lu(random_matrix(n, 40 + n));
+    expect_columns_match_vector_solve(lu, MatrixD::identity(n), lu.inverse());
   }
 }
 
